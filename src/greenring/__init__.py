@@ -8,18 +8,16 @@ The modules split along the mathematics:
 * ``ubasis``     - the U-basis and the change of basis
 * ``ideals``     - induced ideals, Smith normal forms, totient ranks
 * ``oracle``     - independent Jordan types over F_p
-* ``digits``     - the pick-a-number digit identity
+* ``digits``     - the pick-a-number digit identity, prime factorization
 * ``cli``        - command-line front end
 """
 
 from .core_ring import (
     GroupSpec,
     RingElement,
-    add,
     basis_element,
     chi,
     chi_power,
-    dim,
     induce,
     mul,
     mul_chi_V,
@@ -27,7 +25,13 @@ from .core_ring import (
     tensor,
     zero,
 )
-from .digits import TrickCertificate, to_digits, trick_certificate, trick_set
+from .digits import (
+    TrickCertificate,
+    VerificationError,
+    to_digits,
+    trick_certificate,
+    trick_set,
+)
 from .ideals import (
     CyclicGroupSpec,
     LatticeBasis,
@@ -37,7 +41,7 @@ from .ideals import (
     smith_normal_form,
     z_rank,
 )
-from .oracle import JordanType, MatrixFp, jordan_type, rank_fp, verify_engine
+from .oracle import JordanType, jordan_type, rank_fp, verify_engine
 from .quantum import (
     IntPolynomial,
     eval_at_element,
@@ -46,19 +50,19 @@ from .quantum import (
     relation_F,
     relation_F0,
 )
-from .ubasis import IntMatrix, UIndexSet, change_of_basis, cousins, u_element, v_in_u
+from .ubasis import IntMatrix, change_of_basis, cousins, u_element, v_in_u
 
 __all__ = [
-    "GroupSpec", "RingElement", "add", "basis_element", "chi", "chi_power",
-    "dim", "induce", "mul", "mul_chi_V", "one", "tensor", "zero",
-    "TrickCertificate", "to_digits", "trick_certificate", "trick_set",
+    "GroupSpec", "RingElement", "basis_element", "chi", "chi_power",
+    "induce", "mul", "mul_chi_V", "one", "tensor", "zero",
+    "TrickCertificate", "VerificationError", "to_digits", "trick_certificate",
+    "trick_set",
     "CyclicGroupSpec", "LatticeBasis", "cyclotomic", "euler_phi",
     "non_induced_rank", "smith_normal_form", "z_rank",
-    "JordanType", "MatrixFp", "jordan_type", "rank_fp", "verify_engine",
+    "JordanType", "jordan_type", "rank_fp", "verify_engine",
     "IntPolynomial", "eval_at_element", "quantum_closed_form",
     "quantum_number", "relation_F", "relation_F0",
-    "IntMatrix", "UIndexSet", "change_of_basis", "cousins", "u_element",
-    "v_in_u",
+    "IntMatrix", "change_of_basis", "cousins", "u_element", "v_in_u",
 ]
 
 __version__ = "0.1.0"

@@ -63,8 +63,7 @@ def cmd_cousins(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    direction = args.direction.replace("-", "_")
-    matrix = ubasis.change_of_basis(_group(args), direction)
+    matrix = ubasis.change_of_basis(_group(args), args.direction)
     _emit(ubasis.render_matrix(matrix, args.format), args.out)
     return 0
 
@@ -172,10 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["v-to-u", "u-to-v"],
         default="v-to-u",
     )
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--alpha", type=int, required=True)
-    sp.add_argument("--format", choices=["text", "csv", "pbm"], default="csv")
-    sp.add_argument("--out", help="write output to this file instead of stdout")
+    common(sp, group=True, fmt=("text", "csv", "pbm"), default_fmt="csv")
     sp.set_defaults(func=cmd_matrix)
 
     sp = sub.add_parser("trick", help="pick-a-number digit certificate")
@@ -186,8 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rank", help="rank of the non-induced quotient vs phi(n)")
     sp.add_argument("n", type=int)
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.add_argument("--out", help="write output to this file instead of stdout")
+    common(sp)
     sp.set_defaults(func=cmd_rank)
 
     sp = sub.add_parser("verify", help="engine vs oracle sweep")
@@ -207,6 +202,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except digits.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,8 @@ import json
 import math
 from typing import Mapping
 
+from .digits import VerificationError, is_prime
+
 __all__ = [
     "GroupSpec",
     "RingElement",
@@ -47,8 +49,6 @@ __all__ = [
     "zero",
     "one",
     "basis_element",
-    "add",
-    "dim",
     "chi",
     "mul_chi_V",
     "tensor",
@@ -57,10 +57,6 @@ __all__ = [
     "induce",
     "reduction_parameters",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,7 +68,7 @@ class GroupSpec:
     q: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.alpha < 1:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
@@ -202,14 +198,6 @@ def basis_element(group: GroupSpec, r: int) -> RingElement:
 
 def one(group: GroupSpec) -> RingElement:
     return basis_element(group, 1)
-
-
-def add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def dim(a: RingElement) -> int:
-    return a.dim()
 
 
 def chi(group: GroupSpec, k: int) -> RingElement:
@@ -373,8 +361,10 @@ def _tensor_coeffs(p: int, r: int, s: int) -> dict[int, int]:
         out = _tensor_base(p, r, s)
     else:
         out = _tensor_reduce(p, r, s)
-    assert all(c > 0 for c in out.values()), f"negative multiplicity at {key}"
-    assert sum(i * c for i, c in out.items()) == r * s, f"dimension lost at {key}"
+    if any(c <= 0 for c in out.values()):
+        raise VerificationError(f"negative multiplicity at {key}")
+    if sum(i * c for i, c in out.items()) != r * s:
+        raise VerificationError(f"dimension lost at {key}")
     _TENSOR_CACHE[key] = out
     return out
 

@@ -6,15 +6,55 @@ of (digit + 1) over the base-b digits of j - 1.  For prime bases the set J
 is the U-basis support of the n-th indecomposable; the recursion itself
 never looks at a group, so composite bases work too and are checked
 exhaustively in the test suite.
+
+The module also holds the package's single prime factorization and its
+``VerificationError``; it imports nothing from the package, so the
+engine-free oracle can share them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
-__all__ = ["TrickCertificate", "to_digits", "trick_set", "trick_certificate"]
+__all__ = [
+    "VerificationError",
+    "prime_factors",
+    "is_prime",
+    "TrickCertificate",
+    "to_digits",
+    "trick_set",
+    "trick_certificate",
+]
+
+
+class VerificationError(Exception):
+    """An internal invariant failed: the computed answer is wrong, not the
+    input.  The command line reports it with exit status 1."""
+
+
+def _trial_division(n: int):
+    """Yield the distinct prime factors of n in ascending order."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        yield n
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n in ascending order; empty for n <= 1."""
+    return list(_trial_division(n))
+
+
+def is_prime(n: int) -> bool:
+    """Primality; stops at the smallest factor, so composites with a small
+    factor are rejected at once whatever their size."""
+    return n >= 2 and next(_trial_division(n)) == n
 
 
 def _check_base(base: int) -> None:
@@ -51,7 +91,7 @@ def split_indices(r: int, base: int, level: int) -> frozenset[int]:
         lower = split_indices(m * step - j, base, level - 1)
         joint = upper & lower
         if joint:
-            raise AssertionError(f"splitting produced duplicates {sorted(joint)}")
+            raise VerificationError(f"splitting produced duplicates {sorted(joint)}")
         return upper | lower
     return split_indices(r, base, level - 1)
 
@@ -92,9 +132,6 @@ class TrickCertificate:
             "sum": sum(product for _, _, product in self.terms),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
 
 def trick_certificate(n: int, base: int) -> TrickCertificate:
     """Build and verify the certificate; a sum mismatch raises rather than
@@ -107,7 +144,7 @@ def trick_certificate(n: int, base: int) -> TrickCertificate:
         terms.append((j, digits, product))
     total = sum(product for _, _, product in terms)
     if total != n:
-        raise ArithmeticError(
+        raise VerificationError(
             f"digit identity failed for n={n} base={base}: got {total}"
         )
     return TrickCertificate(n, base, tuple(indices), tuple(terms))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 
 from .core_ring import GroupSpec, mul
+from .digits import VerificationError, is_prime, prime_factors
 from .quantum import IntPolynomial
 from .ubasis import IntMatrix, u_element
 
@@ -39,26 +39,12 @@ __all__ = [
 ]
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def euler_phi(n: int) -> int:
     """Euler totient via factorization."""
     if n < 1:
         raise ValueError("totient is defined for n >= 1")
     out = n
-    for p in _prime_factors(n):
+    for p in prime_factors(n):
         out -= out // p
     return out
 
@@ -74,7 +60,7 @@ def cyclotomic(n: int) -> IntPolynomial:
         if n % d == 0:
             poly, rem = divmod(poly, cyclotomic(d))
             if not rem.is_zero():
-                raise AssertionError(f"cyclotomic division left a remainder at {n}")
+                raise VerificationError(f"cyclotomic division left a remainder at {n}")
     return poly
 
 
@@ -90,15 +76,6 @@ class LatticeBasis:
         if any(len(g) != self.ambient_rank for g in gens):
             raise ValueError("generator length differs from ambient rank")
         object.__setattr__(self, "generators", gens)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ambient_rank": self.ambient_rank,
-            "generators": [list(g) for g in self.generators],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,7 +94,7 @@ class CyclicGroupSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("group order must be at least 1")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if not is_prime(self.p):
             raise ValueError(f"characteristic must be prime, got {self.p}")
         m, alpha = self.n, 0
         while m % self.p == 0:
@@ -145,7 +122,7 @@ def semisimple_ideal(m: int) -> LatticeBasis:
     if m < 1:
         raise ValueError("order must be at least 1")
     gens = []
-    for ell in _prime_factors(m):
+    for ell in prime_factors(m):
         d = m // ell
         for j in range(d):
             vec = [0] * m
@@ -245,7 +222,7 @@ def _smith_dense(mat: list[list[int]]) -> list[int]:
     return out
 
 
-def _invariant_factors(vectors, ncols: int) -> list[int]:
+def _invariant_factors(vectors) -> list[int]:
     """Nonzero invariant factors of the span of integer vectors.
 
     Sparse phase first: repeatedly pivot on a +-1 entry chosen to limit
@@ -307,7 +284,7 @@ def _invariant_factors(vectors, ncols: int) -> list[int]:
 
 def invariant_factors(basis: LatticeBasis) -> tuple[int, ...]:
     """Nonzero invariant factors of the lattice inside its ambient module."""
-    return tuple(_invariant_factors(basis.generators, basis.ambient_rank))
+    return tuple(_invariant_factors(basis.generators))
 
 
 def z_rank(basis: LatticeBasis) -> int:
@@ -318,7 +295,7 @@ def z_rank(basis: LatticeBasis) -> int:
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, d_1 | d_2 | ..., zeros included
     up to min(rows, cols)."""
-    factors = _invariant_factors(mat.entries, mat.cols)
+    factors = _invariant_factors(mat.entries)
     width = min(mat.rows, mat.cols)
     return tuple(factors) + (0,) * (width - len(factors))
 
@@ -362,5 +339,5 @@ def principal_generation_check(group: GroupSpec) -> bool:
         for i, c in product.coeffs.items():
             vec[i // p - 1] = c
         vectors.append(tuple(vec))
-    factors = _invariant_factors(vectors, k)
+    factors = _invariant_factors(vectors)
     return len(factors) == k and all(f == 1 for f in factors)

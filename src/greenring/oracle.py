@@ -43,6 +43,8 @@ from collections import Counter
 
 import numpy as np
 
+from .digits import VerificationError, is_prime
+
 DEFAULT_BUDGET = 16384
 
 
@@ -51,7 +53,7 @@ class BudgetExceeded(ValueError):
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
 
 
@@ -76,38 +78,6 @@ class JordanType:
         return dict(Counter(self.blocks))
 
 
-class MatrixFp:
-    """Dense matrix over F_p; entries kept reduced into 0..p-1."""
-
-    __slots__ = ("p", "array")
-
-    def __init__(self, p: int, entries):
-        _require_prime(p)
-        array = np.asarray(entries, dtype=np.int64)
-        if array.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        self.p = p
-        self.array = array % p
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixFp)
-            and self.p == other.p
-            and np.array_equal(self.array, other.array)
-        )
-
-    def __repr__(self) -> str:
-        return f"MatrixFp(p={self.p}, shape={self.array.shape})"
-
-
 def _jordan_block(n: int) -> np.ndarray:
     """Unipotent Jordan block: identity plus ones on the subdiagonal."""
     return np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
@@ -115,14 +85,14 @@ def _jordan_block(n: int) -> np.ndarray:
 
 def tensor_generator_matrix(
     p: int, r: int, s: int, budget: int = DEFAULT_BUDGET
-) -> MatrixFp:
-    """The rs x rs matrix J_r(1) (x) J_s(1) over F_p."""
+) -> np.ndarray:
+    """The rs x rs matrix J_r(1) (x) J_s(1) over F_p, entries in 0..p-1."""
     _require_prime(p)
     if r < 1 or s < 1:
         raise ValueError("block sizes must be at least 1")
     if r * s > budget:
         raise BudgetExceeded(f"dimension {r * s} exceeds budget {budget}")
-    return MatrixFp(p, np.kron(_jordan_block(r), _jordan_block(s)))
+    return np.kron(_jordan_block(r), _jordan_block(s)) % p
 
 
 def _rank_mod_p(work: np.ndarray, p: int) -> int:
@@ -147,9 +117,14 @@ def _rank_mod_p(work: np.ndarray, p: int) -> int:
     return rank
 
 
-def rank_fp(m: MatrixFp) -> int:
-    """Rank over F_p by exact Gaussian elimination."""
-    return _rank_mod_p(m.array.copy(), m.p)
+def rank_fp(p: int, entries) -> int:
+    """Rank over F_p of a two-dimensional integer array, by exact Gaussian
+    elimination after reducing the entries mod p."""
+    _require_prime(p)
+    array = np.asarray(entries, dtype=np.int64)
+    if array.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    return _rank_mod_p(array % p, p)
 
 
 def jordan_type_dense(
@@ -162,7 +137,7 @@ def jordan_type_dense(
     """
     g = tensor_generator_matrix(p, r, s, budget=budget)
     n = r * s
-    nilpotent = (g.array - np.eye(n, dtype=np.int64)) % p
+    nilpotent = (g - np.eye(n, dtype=np.int64)) % p
     ranks = [n]
     power = nilpotent
     while True:
@@ -178,7 +153,7 @@ def jordan_type_dense(
         blocks.extend([k] * mult)
     jt = JordanType(tuple(blocks))
     if jt.dimension != n:
-        raise AssertionError(f"rank sequence inconsistent for p={p}, r={r}, s={s}")
+        raise VerificationError(f"rank sequence inconsistent for p={p}, r={r}, s={s}")
     return jt
 
 
@@ -280,7 +255,7 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
 
     jt = JordanType(tuple(blocks))
     if jt.dimension != r * s:
-        raise AssertionError(f"chain sweep inconsistent for p={p}, r={r}, s={s}")
+        raise VerificationError(f"chain sweep inconsistent for p={p}, r={r}, s={s}")
     return jt
 
 

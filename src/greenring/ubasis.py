@@ -3,10 +3,12 @@ directions.
 
 U_r is the product of quantum numbers [r_i + 1] evaluated at chi_i, one
 factor per base-p digit r_i of r - 1.  The U_j form a second Z-basis:
-each V_r is a multiplicity-free 0/1 sum of U_j, with the index set given
-either by the digit-splitting recursion (``curly_u``) or by the cousins
-closed form (``v_in_u``).  The V-to-U matrix is lower triangular with
-unit diagonal; rendered as a bitmap it shows a Sierpinski-like pattern.
+each V_r is a multiplicity-free 0/1 sum of U_j.  The index set comes from
+the digit-splitting recursion (``digits.split_indices``, exposed level by
+level as ``curly_u``); the change of basis takes that route.  The cousins
+closed form (``v_in_u``) derives the same set independently and is kept
+as the cross-check.  The V-to-U matrix is lower triangular with unit
+diagonal; rendered as a bitmap it shows a Sierpinski-like pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .core_ring import GroupSpec, RingElement, chi, mul, one
 from .quantum import eval_at_element
 
 __all__ = [
-    "UIndexSet",
     "IntMatrix",
     "u_element",
     "cousins",
@@ -27,33 +28,6 @@ __all__ = [
     "change_of_basis",
     "render_matrix",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class UIndexSet:
-    """Sorted, multiplicity-free set of U-basis indices in 1..q."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(set(int(i) for i in self.indices)))
-        if len(ordered) != len(self.indices):
-            raise ValueError("index set must be multiplicity-free")
-        if ordered and ordered[0] < 1:
-            raise ValueError("indices must be positive")
-        object.__setattr__(self, "indices", ordered)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, item) -> bool:
-        return item in self.indices
-
-    def to_set(self) -> frozenset[int]:
-        return frozenset(self.indices)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,51 +105,53 @@ def cousins(n: int, base: int) -> frozenset[int]:
     return frozenset(values)
 
 
-def v_in_u(group: GroupSpec, r: int) -> UIndexSet:
-    """Indices j with V_r = sum of U_j: all j such that q - r is a cousin
-    of q - j in base p."""
+def v_in_u(group: GroupSpec, r: int) -> tuple[int, ...]:
+    """Ascending indices j with V_r = sum of U_j: all j such that q - r is
+    a cousin of q - j in base p.
+
+    Closed-form cross-check of the splitting recursion (``curly_u``): it
+    scans q cousin sets, so the change of basis does not use it.
+    """
     if not 1 <= r <= group.q:
         raise ValueError(f"index {r} outside 1..{group.q}")
     target = group.q - r
-    hits = tuple(
+    return tuple(
         j for j in range(1, group.q + 1) if target in cousins(group.q - j, group.p)
     )
-    return UIndexSet(hits)
 
 
-def curly_u(group: GroupSpec, r: int, beta: int) -> UIndexSet:
-    """Index set of the splitting recursion run down from level beta;
-    beta = alpha reproduces v_in_u."""
+def curly_u(group: GroupSpec, r: int, beta: int) -> tuple[int, ...]:
+    """Ascending index set of the splitting recursion run down from level
+    beta; beta = alpha gives the U-basis support of V_r."""
     if not 1 <= r <= group.q:
         raise ValueError(f"index {r} outside 1..{group.q}")
     if not 0 <= beta <= group.alpha:
         raise ValueError(f"level {beta} outside 0..{group.alpha}")
-    return UIndexSet(tuple(digits.split_indices(r, group.p, beta)))
+    return tuple(sorted(digits.split_indices(r, group.p, beta)))
 
 
 def change_of_basis(group: GroupSpec, direction: str) -> IntMatrix:
     """Square change-of-basis matrix over indices 1..q.
 
-    ``v_to_u``: entry (i, j) is 1 when j lies in v_in_u(i), else 0.
+    ``v_to_u``: entry (i, j) is 1 when j lies in the splitting-recursion
+    index set of V_i, else 0.
     ``u_to_v``: row r holds the V-basis coefficients of U_r; this is the
     integer inverse of the other direction.
     """
     q = group.q
     key = direction.lower().replace("-", "_")
     if key == "v_to_u":
-        rows = tuple(
-            tuple(1 if j in v_in_u(group, i).to_set() else 0 for j in range(1, q + 1))
+        coeffs = [
+            dict.fromkeys(digits.split_indices(i, group.p, group.alpha), 1)
             for i in range(1, q + 1)
-        )
+        ]
     elif key == "u_to_v":
-        rows = []
-        for r in range(1, q + 1):
-            coeffs = u_element(group, r).coeffs
-            rows.append(tuple(coeffs.get(t, 0) for t in range(1, q + 1)))
-        rows = tuple(rows)
+        coeffs = [u_element(group, r).coeffs for r in range(1, q + 1)]
     else:
         raise ValueError(f"direction must be v_to_u or u_to_v, got {direction!r}")
-    return IntMatrix(rows)
+    return IntMatrix(
+        tuple(tuple(row.get(t, 0) for t in range(1, q + 1)) for row in coeffs)
+    )
 
 
 def render_matrix(matrix: IntMatrix, format: str) -> bytes:

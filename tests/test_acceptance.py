@@ -6,7 +6,7 @@ oracle sweeps bound their runtime via the stated dimension budget.
 """
 
 from greenring.core_ring import GroupSpec, tensor
-from greenring.digits import trick_certificate
+from greenring.digits import is_prime, trick_certificate
 from greenring.ideals import (
     CyclicGroupSpec,
     principal_generation_check,
@@ -56,8 +56,8 @@ def test_criterion_02_u12_worked_example():
 
 def test_criterion_03_index_62_and_certificate():
     group = GroupSpec(5, 3)
-    closed = v_in_u(group, 62).indices
-    recursive = curly_u(group, 62, 3).indices
+    closed = v_in_u(group, 62)
+    recursive = curly_u(group, 62, 3)
     cert = trick_certificate(62, 5)
     products = sorted((prod for _, _, prod in cert.terms), reverse=True)
     ok = (
@@ -138,7 +138,7 @@ def test_criterion_06_principal_ideal():
 
 def _smallest_coprime_prime(n: int) -> int:
     p = 2
-    while n % p == 0 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    while n % p == 0 or not is_prime(p):
         p += 1
     return p
 
@@ -149,7 +149,7 @@ def test_criterion_07_rank_theorems():
         characteristics = [
             p
             for p in range(2, n + 1)
-            if n % p == 0 and all(p % d for d in range(2, int(p**0.5) + 1))
+            if n % p == 0 and is_prime(p)
         ]
         characteristics.append(_smallest_coprime_prime(n))
         for p in characteristics:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import greenring
+from greenring import core_ring
 from greenring.cli import main
 
 
@@ -152,3 +158,34 @@ class TestOutFile:
         run("tensor", "--p", "5", "--alpha", "3", "--format", "json",
             "--out", str(b), "7", "11")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestVerificationFailure:
+    """A failed internal invariant is a verification failure: exit 1, no
+    traceback, and the check survives ``python -O``."""
+
+    def test_exit_1_without_traceback(self, run, monkeypatch):
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_base", lambda p, r, s: {s: r - 1})
+        code, out, err = run("tensor", "--p", "5", "--alpha", "1", "2", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: dimension lost")
+        assert "Traceback" not in err
+
+    def test_raises_under_optimize(self):
+        script = (
+            "from greenring import core_ring, digits\n"
+            "core_ring._TENSOR_CACHE.clear()\n"
+            "core_ring._tensor_base = lambda p, r, s: {s: r - 1}\n"
+            "try:\n"
+            "    core_ring.tensor(core_ring.GroupSpec(5, 1), 2, 3)\n"
+            "except digits.VerificationError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(greenring.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "raised\n"), done.stderr

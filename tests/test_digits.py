@@ -1,11 +1,18 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenring.core_ring import GroupSpec
-from greenring.digits import to_digits, trick_certificate, trick_set
+from greenring.digits import (
+    is_prime,
+    prime_factors,
+    to_digits,
+    trick_certificate,
+    trick_set,
+)
 from greenring.ubasis import v_in_u
 
 
@@ -32,6 +39,18 @@ class TestToDigits:
         assert not digits or digits[-1] != 0
 
 
+class TestPrimes:
+    def test_against_sympy(self):
+        for n in range(-2, 2001):
+            assert is_prime(n) == sympy.isprime(n), n
+            if n >= 1:
+                assert prime_factors(n) == sorted(sympy.factorint(n)), n
+
+    def test_small_factor_rejects_at_once(self):
+        # 2^61 - 1 is prime: dividing it out by trial would take minutes
+        assert not is_prime(2 * (2**61 - 1))
+
+
 class TestTrickSet:
     def test_worked_example(self):
         assert trick_set(62, 5) == frozenset({62, 58, 38, 32})
@@ -55,7 +74,7 @@ class TestTrickSet:
     def test_prime_base_matches_u_basis_support(self, p, alpha):
         group = GroupSpec(p, alpha)
         for n in range(1, group.q):
-            assert trick_set(n, p) == v_in_u(group, n).to_set(), (p, n)
+            assert trick_set(n, p) == frozenset(v_in_u(group, n)), (p, n)
 
 
 class TestTrickCertificate:

@@ -4,7 +4,6 @@ import pytest
 from greenring.oracle import (
     BudgetExceeded,
     JordanType,
-    MatrixFp,
     jordan_type,
     jordan_type_dense,
     rank_fp,
@@ -13,29 +12,18 @@ from greenring.oracle import (
 )
 
 
-class TestMatrixFp:
-    def test_entries_reduced(self):
-        m = MatrixFp(5, [[7, -1], [10, 3]])
-        assert m.array.tolist() == [[2, 4], [0, 3]]
-        assert (m.rows, m.cols) == (2, 2)
-
-    def test_requires_prime(self):
-        with pytest.raises(ValueError):
-            MatrixFp(6, [[1]])
-
-
 class TestGeneratorMatrix:
     def test_trivial(self):
-        assert tensor_generator_matrix(5, 1, 1).array.tolist() == [[1]]
+        assert tensor_generator_matrix(5, 1, 1).tolist() == [[1]]
 
     def test_identity_factor(self):
         m = tensor_generator_matrix(3, 2, 1)
-        assert m.array.tolist() == [[1, 0], [1, 1]]
+        assert m.tolist() == [[1, 0], [1, 1]]
 
     def test_kron_2x2_mod2(self):
         m = tensor_generator_matrix(2, 2, 2)
         j2 = np.array([[1, 0], [1, 1]])
-        assert np.array_equal(m.array, np.kron(j2, j2) % 2)
+        assert np.array_equal(m, np.kron(j2, j2) % 2)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -43,20 +31,34 @@ class TestGeneratorMatrix:
 
 
 class TestRankFp:
+    def test_entries_reduced(self):
+        # all three are invertible over Q; negative entries reduce too
+        assert rank_fp(5, [[7, -1], [10, 3]]) == 2
+        assert rank_fp(5, [[5, 10], [-5, 15]]) == 0
+        assert rank_fp(3, [[4, 1], [1, -2]]) == 1
+
+    def test_requires_prime(self):
+        with pytest.raises(ValueError):
+            rank_fp(6, [[1]])
+
+    def test_requires_two_dimensions(self):
+        with pytest.raises(ValueError):
+            rank_fp(5, [1, 2, 3])
+
     def test_identity(self):
-        assert rank_fp(MatrixFp(7, np.eye(5, dtype=int))) == 5
+        assert rank_fp(7, np.eye(5, dtype=int)) == 5
 
     def test_zero(self):
-        assert rank_fp(MatrixFp(3, np.zeros((4, 4), dtype=int))) == 0
+        assert rank_fp(3, np.zeros((4, 4), dtype=int)) == 0
 
     def test_nilpotent_block(self):
-        n = (tensor_generator_matrix(3, 3, 1).array - np.eye(3, dtype=int)) % 3
-        assert rank_fp(MatrixFp(3, n)) == 2
+        n = (tensor_generator_matrix(3, 3, 1) - np.eye(3, dtype=int)) % 3
+        assert rank_fp(3, n) == 2
 
     def test_rank_counts_mod_p(self):
         # rows dependent over F_5 but independent over Q
-        assert rank_fp(MatrixFp(5, [[1, 2], [6, 7]])) == 1
-        assert rank_fp(MatrixFp(5, [[1, 2], [6, 8]])) == 2
+        assert rank_fp(5, [[1, 2], [6, 7]]) == 1
+        assert rank_fp(5, [[1, 2], [6, 8]]) == 2
 
 
 class TestJordanType:
@@ -105,9 +107,9 @@ class TestJordanType:
         # number of blocks = rank(N^0) - rank(N^1)
         p, r, s = 3, 5, 7
         g = tensor_generator_matrix(p, r, s)
-        n = (g.array - np.eye(r * s, dtype=np.int64)) % p
+        n = (g - np.eye(r * s, dtype=np.int64)) % p
         blocks = len(jordan_type(p, r, s).blocks)
-        assert r * s - rank_fp(MatrixFp(p, n)) == blocks
+        assert r * s - rank_fp(p, n) == blocks
 
 
 class TestJordanTypeDataclass:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from greenring.core_ring import GroupSpec, RingElement, basis_element
 from greenring.ubasis import (
     IntMatrix,
-    UIndexSet,
     change_of_basis,
     cousins,
     curly_u,
@@ -81,15 +80,15 @@ class TestCousins:
 
 class TestVInU:
     def test_worked_example(self):
-        assert v_in_u(G53, 62).indices == (32, 38, 58, 62)
+        assert v_in_u(G53, 62) == (32, 38, 58, 62)
 
     def test_small_indices_are_themselves(self):
         for r in range(1, 6):
-            assert v_in_u(G53, r).indices == (r,)
+            assert v_in_u(G53, r) == (r,)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_p_powers(self, k):
-        assert v_in_u(G53, 5**k).indices == (5**k,)
+        assert v_in_u(G53, 5**k) == (5**k,)
 
     @pytest.mark.parametrize("p,alpha", [(2, 3), (3, 3), (5, 2)])
     def test_expansion_reproduces_v(self, p, alpha):
@@ -108,48 +107,42 @@ class TestVInU:
         # {1, 3, 5}); what does hold: r is always the top index
         group = GroupSpec(p, alpha)
         for r in range(1, group.q + 1):
-            support = v_in_u(group, r).indices
+            support = v_in_u(group, r)
             assert support[-1] == r
             assert all(1 <= j <= r for j in support)
 
     def test_size_three_support(self):
         # the counterexample to the power-of-two guess, pinned down
         group = GroupSpec(2, 4)
-        assert v_in_u(group, 5).indices == (1, 3, 5)
+        assert v_in_u(group, 5) == (1, 3, 5)
 
 
 class TestCurlyU:
     def test_worked_example(self):
-        assert curly_u(G53, 62, 2).indices == (32, 38, 58, 62)
-        assert curly_u(G53, 62, 3).indices == (32, 38, 58, 62)
+        assert curly_u(G53, 62, 2) == (32, 38, 58, 62)
+        assert curly_u(G53, 62, 3) == (32, 38, 58, 62)
 
     def test_level_zero(self):
-        assert curly_u(G53, 62, 0).indices == (62,)
+        assert curly_u(G53, 62, 0) == (62,)
 
     def test_multiple_of_power_single_branch(self):
-        assert curly_u(G53, 50, 2).indices == (50,)
+        assert curly_u(G53, 50, 2) == (50,)
 
-    @pytest.mark.parametrize("p,alpha", [(2, 4), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("p,alpha", [(2, 4), (2, 7), (3, 3), (5, 3)])
     def test_top_level_matches_closed_form(self, p, alpha):
+        # the cousins closed form cross-checks both the recursion and the
+        # V-to-U matrix built from it
         group = GroupSpec(p, alpha)
+        matrix = change_of_basis(group, "v_to_u")
         for r in range(1, group.q + 1):
-            assert curly_u(group, r, alpha).indices == v_in_u(group, r).indices
+            closed = v_in_u(group, r)
+            assert curly_u(group, r, alpha) == closed
+            indicator = tuple(int(j in closed) for j in range(1, group.q + 1))
+            assert matrix.entries[r - 1] == indicator, (p, alpha, r)
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
             curly_u(G53, 5, 4)
-
-
-class TestUIndexSet:
-    def test_sorted_and_deduplicated_input_rejected(self):
-        with pytest.raises(ValueError):
-            UIndexSet((3, 3))
-
-    def test_membership(self):
-        s = UIndexSet((5, 2, 9))
-        assert s.indices == (2, 5, 9)
-        assert 5 in s and 4 not in s
-        assert len(s) == 3
 
 
 class TestChangeOfBasis:
