@@ -7,18 +7,20 @@ tested against these results, never the other way around.
 
 Two independent computations are provided.
 
-``jordan_type_dense`` is the literal construction: the Kronecker product
-J_r(1) (x) J_s(1), the rank sequence of powers of N = g - 1 by dense
-elimination, and block multiplicities via
+``jordan_type_dense`` is the literal construction and the cross-check:
+the Kronecker product J_r(1) (x) J_s(1), the rank sequence of powers of
+N = g - 1 by dense elimination, and block multiplicities via
 
     mult(k) = rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)).
 
-Cost grows like (r s)^3, fine for a few hundred dimensions.
+Each power is taken on an echelon basis of the row space of the previous
+one, so the matrices shrink as the ranks fall.  Cost grows like (r s)^3,
+fine for a few hundred dimensions.
 
-``jordan_type`` is a blocked elimination that exploits the bigraded
-structure and handles the full default budget (dimension 16384) quickly.
-V_r (x) V_s is the algebra R = k[x,y]/(x^r, y^s) with the group generator
-acting as multiplication by the unit u = (1+x)(1+y).  For every k,
+``jordan_type`` reduces an r x r presentation and handles the full
+default budget (dimension 16384) quickly.  V_r (x) V_s is the algebra
+R = k[x,y]/(x^r, y^s) with the group generator acting as multiplication
+by the unit u = (1+x)(1+y).  For every k,
 
     dim ker (u-1)^k  =  dim R / ((u-1)^k R)          (rank-nullity)
                      =  dim k[x,y] / (x^r, y^s, ((1+x)(1+y) - 1)^k).
@@ -27,18 +29,32 @@ Substituting X = 1+x and Z = (1+x)(1+y) (allowed: the quotient is local
 and 1+x is a unit there) turns the three generators into X - 1 = x,
 (Z - X) * unit, and Z - 1; the further linear substitution X -> x,
 Z -> x + y carries them to x^r, y^s, (x+y)^k.  Hence u - 1 has the same
-kernel filtration, so the same Jordan type, as multiplication by x + y,
-which is homogeneous of degree 1: a chain of bidiagonal maps between the
-graded slices of R.  The chain decomposes into intervals, one per Jordan
-block, recovered by a single echelon sweep along the grading in which a
-contested pivot always goes to the oldest chain (so that for every b the
-surviving chains born by slice b span the image of slice b, for all b at
-once).
+kernel filtration, so the same Jordan type, as multiplication by
+t = x + y.
+
+Take r <= s.  With y = t - x, R = k[t][x]/(x^r, (t-x)^s).  Over k[t] it
+is generated by x^0 .. x^(r-1), and its relations are x^j (t-x)^s for
+j < r, so R is the cokernel of the r x r matrix M over F_p[t] with
+
+    M[i, j] = (-1)^(i-j) C(s, i-j) t^(s-(i-j))      for i >= j,
+
+and the Jordan blocks of t are the exponents e of its invariant factors
+t^e (det M = t^(rs)).  M is graded: generator x^i has degree i, relation
+j has degree s + j, and entry (i, j) is homogeneous of degree s + j - i.
+For such a matrix the elder rule of persistence (Zomorodian and Carlsson,
+"Computing Persistent Homology", 2005) gives the invariant factors from
+the scalar matrix A[i, j] = (-1)^(i-j) C(s, i-j) mod p: reduce the
+columns left to right, each by the earlier column that owns its lowest
+nonzero row (earlier columns have lower degree, so the multiplier is a
+power of t).  Column j ending with lowest row i pairs generator x^i with
+relation j: one Jordan block of size s + j - i.  The cost does not
+depend on s.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -53,6 +69,9 @@ class BudgetExceeded(ValueError):
 
 
 def _require_prime(p: int) -> None:
+    # Elimination forms a - b*c with a, b, c in 0..p-1 in int64.
+    if p * (p - 1) >= 2**63:
+        raise ValueError(f"modulus {p} too large: p*(p-1) must be below the int64 limit 2^63")
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
 
@@ -96,23 +115,26 @@ def tensor_generator_matrix(
 
 
 def _rank_mod_p(work: np.ndarray, p: int) -> int:
-    """Row-echelon rank of an int64 array, destroying `work`."""
+    """Row-echelon rank of an int64 array, reducing `work` in place: its
+    first `rank` rows end as an echelon basis of the original row space."""
     rows, cols = work.shape
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
-        nz = np.flatnonzero(work[rank:, c])
+        nz = work[rank:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             work[[rank, piv]] = work[[piv, rank]]
         inv = pow(int(work[rank, c]), p - 2, p)
-        work[rank] = work[rank] * inv % p
-        below = work[rank + 1 :, c]
-        if below.size:
-            work[rank + 1 :] = (work[rank + 1 :] - np.outer(below, work[rank])) % p
+        work[rank, c:] = work[rank, c:] * inv % p
+        # Columns left of c are already zero below the pivot row; only rows
+        # with a nonzero entry in column c change.
+        hit = rank + 1 + work[rank + 1 :, c].nonzero()[0]
+        if hit.size:
+            work[hit, c:] = (work[hit, c:] - np.outer(work[hit, c], work[rank, c:])) % p
         rank += 1
     return rank
 
@@ -139,13 +161,15 @@ def jordan_type_dense(
     n = r * s
     nilpotent = (g - np.eye(n, dtype=np.int64)) % p
     ranks = [n]
-    power = nilpotent
+    work = nilpotent.copy()
     while True:
-        rk = _rank_mod_p(power.copy(), p)
+        rk = _rank_mod_p(work, p)
         ranks.append(rk)
         if rk == 0:
             break
-        power = power @ nilpotent % p
+        # work[:rk] is an echelon basis of the row space of N^k, so its
+        # product with N spans the row space of N^(k+1).
+        work = work[:rk] @ nilpotent % p
     ranks.append(0)
     blocks: list[int] = []
     for k in range(1, len(ranks) - 1):
@@ -160,12 +184,10 @@ def jordan_type_dense(
 def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanType:
     """Exact Jordan type of V_r (x) V_s over F_p.
 
-    Uses the graded chain described in the module docstring: slice d of
-    k[x,y]/(x^r, y^s) is spanned by the monomials x^i y^(d-i) with
-    max(0, d-s+1) <= i <= min(r-1, d), and multiplication by x + y sends
-    basis vector e_i to f_i + f_{i+1} (terms outside the slice vanish).
-    Chains of images are swept forward; every time a chain's vector is
-    reduced to zero a block of that chain's length is emitted.
+    Reduces the scalar presentation matrix A of the module docstring,
+    whose column j holds (-1)^k C(s, k) mod p at row j + k.  Every step
+    must lower the column's lowest nonzero row, so a column needs at most
+    r steps.
     """
     _require_prime(p)
     if r < 1 or s < 1:
@@ -177,85 +199,27 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
     if r == 1:
         return JordanType((s,))
 
-    def lo(d: int) -> int:
-        return max(0, d - s + 1)
-
-    def hi(d: int) -> int:
-        return min(r - 1, d)
-
+    coeffs = np.array([(-1) ** k * math.comb(s, k) % p for k in range(r)], dtype=np.int64)
+    owner: dict[int, np.ndarray] = {}  # lowest row -> reduced column, 1 there
     blocks: list[int] = []
-    active = np.ones((1, 1), dtype=np.int64)  # columns = chain vectors in slice d
-    births = [0]
-    col_of_pivot = {0: 0}  # absolute row index -> column position
-
-    for d in range(r + s - 1):
-        l0, h0 = lo(d), hi(d)
-        l1, h1 = lo(d + 1), hi(d + 1)
-        if d + 1 > r + s - 2:
-            blocks.extend(d + 1 - b for b in births)
-            break
-        n1 = h1 - l1 + 1
-        m = active.shape[1]
-        image = np.zeros((n1, m), dtype=np.int64)
-        # term f_i <- e_i
-        a, b = max(l0, l1), min(h0, h1)
-        if a <= b:
-            image[a - l1 : b - l1 + 1] += active[a - l0 : b - l0 + 1]
-        # term f_{i+1} <- e_i
-        a, b = max(l0, l1 - 1), min(h0, h1 - 1)
-        if a <= b:
-            image[a + 1 - l1 : b + 2 - l1] += active[a - l0 : b - l0 + 1]
-        image %= p
-
-        if l1 == l0:
-            # No slice bottom was cut off: every chain keeps its pivot row
-            # (the pivot coefficient is copied verbatim by the f_i term),
-            # so no reduction is needed.  A grown slice spawns one chain.
-            if h1 == h0 + 1:
-                born = np.zeros((n1, 1), dtype=np.int64)
-                born[h1 - l1, 0] = 1
-                image = np.hstack([image, born])
-                births.append(d + 1)
-                col_of_pivot[h1] = m
-        else:
-            # Bottom row l0 was cut off; exactly the chain holding that
-            # pivot is disturbed.  Re-settle it, always letting the older
-            # chain keep a contested pivot row.
-            x = col_of_pivot.pop(l0)
-            while True:
-                col = image[:, x]
-                nz = np.flatnonzero(col)
-                if nz.size == 0:
-                    blocks.append(d + 1 - births[x])
-                    image = np.delete(image, x, axis=1)
-                    births.pop(x)
-                    col_of_pivot = {
-                        row: (c - 1 if c > x else c)
-                        for row, c in col_of_pivot.items()
-                    }
-                    break
-                row = int(nz[0])
-                abs_row = row + l1
-                holder = col_of_pivot.get(abs_row)
-                if holder is None:
-                    inv = pow(int(col[row]), p - 2, p)
-                    image[:, x] = col * inv % p
-                    col_of_pivot[abs_row] = x
-                    break
-                if births[holder] <= births[x]:
-                    # holder is older: reduce x past this row
-                    image[:, x] = (col - col[row] * image[:, holder]) % p
-                else:
-                    # x is older: it takes the row, the holder re-settles
-                    inv = pow(int(col[row]), p - 2, p)
-                    image[:, x] = col * inv % p
-                    col_of_pivot[abs_row] = x
-                    x = holder
-        active = image
+    for j in range(r):
+        col = np.zeros(r, dtype=np.int64)
+        col[j:] = coeffs[: r - j]
+        low = int(col.nonzero()[0][-1])  # col[j] == 1, so it exists
+        while low in owner:
+            col = (col - col[low] * owner[low]) % p
+            nz = col.nonzero()[0]
+            if nz.size == 0 or nz[-1] >= low:
+                raise VerificationError(
+                    f"presentation reduction stalled at row {low} for p={p}, r={r}, s={s}"
+                )
+            low = int(nz[-1])
+        owner[low] = col * pow(int(col[low]), p - 2, p) % p
+        blocks.append(s + j - low)
 
     jt = JordanType(tuple(blocks))
     if jt.dimension != r * s:
-        raise VerificationError(f"chain sweep inconsistent for p={p}, r={r}, s={s}")
+        raise VerificationError(f"presentation reduction inconsistent for p={p}, r={r}, s={s}")
     return jt
 
 
@@ -273,10 +237,8 @@ def verify_engine(
     group = core_ring.GroupSpec(p, alpha)
     q = group.q
     mismatches = []
-    for s in range(1, q + 1):
-        for r in range(1, s + 1):
-            if r * s > budget:
-                continue
+    for s in range(1, min(q, budget) + 1):
+        for r in range(1, min(s, budget // s) + 1):
             expected = jordan_type(p, r, s, budget=budget)
             got = core_ring.tensor(group, r, s)
             if got.coeffs != expected.multiplicities():

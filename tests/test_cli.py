@@ -130,6 +130,12 @@ class TestRankVerifyRelations:
         code, out, _ = run("verify", "--p", "2", "--alpha", "2", "--format", "json")
         assert (code, json.loads(out)) == (0, [])
 
+    def test_verify_rejects_int64_unsafe_prime(self, run):
+        code, out, err = run("verify", "--p", "4294967311", "--alpha", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "int64" in err
+        assert "Traceback" not in err
+
     def test_relations_text(self, run):
         code, out, _ = run("relations", "--p", "5", "--alpha", "3")
         assert (code, out) == (0, "F0 F1 F2 all vanish\n")

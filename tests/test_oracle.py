@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenring import core_ring
 from greenring.oracle import (
     BudgetExceeded,
     JordanType,
@@ -10,6 +13,9 @@ from greenring.oracle import (
     tensor_generator_matrix,
     verify_engine,
 )
+
+# A prime with p*(p-1) >= 2^63, beyond what int64 elimination can hold.
+INT64_UNSAFE_PRIME = 4294967311
 
 
 class TestGeneratorMatrix:
@@ -40,6 +46,10 @@ class TestRankFp:
     def test_requires_prime(self):
         with pytest.raises(ValueError):
             rank_fp(6, [[1]])
+
+    def test_rejects_int64_unsafe_prime(self):
+        with pytest.raises(ValueError, match="int64"):
+            rank_fp(INT64_UNSAFE_PRIME, [[1]])
 
     def test_requires_two_dimensions(self):
         with pytest.raises(ValueError):
@@ -92,9 +102,14 @@ class TestJordanType:
         with pytest.raises(BudgetExceeded):
             jordan_type(2, 150, 150, budget=16384)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rejects_int64_unsafe_prime(self):
+        with pytest.raises(ValueError, match="int64"):
+            jordan_type(INT64_UNSAFE_PRIME, 9, 13)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_fast_path_equals_dense_rank_sequence(self, p):
-        # blocked elimination vs the literal Kronecker/rank-sequence oracle
+        # r x r presentation reduction over F_p[t] vs the literal
+        # Kronecker/rank-sequence oracle
         for r in range(1, 15):
             for s in range(r, 15):
                 assert jordan_type(p, r, s) == jordan_type_dense(p, r, s), (p, r, s)
@@ -102,6 +117,24 @@ class TestJordanType:
     def test_fast_path_equals_dense_bigger_spot_checks(self):
         for p, r, s in ((2, 9, 31), (3, 17, 26), (5, 12, 37), (7, 20, 22)):
             assert jordan_type(p, r, s) == jordan_type_dense(p, r, s)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), data=st.data())
+    def test_engine_equals_oracle_at_random_pairs(self, p, data):
+        budget = 16384
+        r = data.draw(st.integers(1, 128), label="r")
+        hi = budget // r
+        if r * r <= 300 and data.draw(st.booleans(), label="dense"):
+            hi = 300 // r
+        s = data.draw(st.integers(r, hi), label="s")
+        alpha = 1
+        while p**alpha < s:
+            alpha += 1
+        expected = jordan_type(p, r, s, budget=budget)
+        got = core_ring.tensor(core_ring.GroupSpec(p, alpha), r, s)
+        assert got.coeffs == expected.multiplicities()
+        if r * s <= 300:
+            assert expected == jordan_type_dense(p, r, s)
 
     def test_multiplicity_formula_sanity(self):
         # number of blocks = rank(N^0) - rank(N^1)
@@ -141,3 +174,7 @@ class TestVerifyEngine:
     def test_budget_skips_large_pairs(self):
         # only pairs with r*s <= budget are checked; must still be clean
         assert verify_engine(3, 4, budget=500) == []
+
+    def test_large_group_small_budget_is_bounded(self):
+        # q = 2^16 has about 2e9 pairs; only the 144 within budget are visited
+        assert verify_engine(2, 16, budget=64) == []
