@@ -35,22 +35,20 @@ def _group(args) -> core_ring.GroupSpec:
     return core_ring.GroupSpec(args.p, args.alpha)
 
 
-def cmd_tensor(args) -> int:
-    element = core_ring.tensor(_group(args), args.r, args.s)
+def _emit_element(element: core_ring.RingElement, args) -> int:
     if args.format == "json":
         _emit(_dump(element.to_json_dict()), args.out)
     else:
         _emit(str(element) + "\n", args.out)
     return 0
+
+
+def cmd_tensor(args) -> int:
+    return _emit_element(core_ring.tensor(_group(args), args.r, args.s), args)
 
 
 def cmd_ubasis(args) -> int:
-    element = ubasis.u_element(_group(args), args.r)
-    if args.format == "json":
-        _emit(_dump(element.to_json_dict()), args.out)
-    else:
-        _emit(str(element) + "\n", args.out)
-    return 0
+    return _emit_element(ubasis.u_element(_group(args), args.r), args)
 
 
 def cmd_cousins(args) -> int:

@@ -9,19 +9,12 @@ zero module and is silently dropped when an element is assembled; the
 column rules below produce such terms on purpose.  Indices above q never
 arise from valid inputs and are rejected.
 
-The engine decomposes V_r (x) V_s (with r <= s after swapping) by:
-
-* ``r == 1``: the unit acts trivially.
-* ``s`` a power of p: V_r (x) V_s = r V_s.  The operator g (x) g - 1 has
-  kernel of dimension min(r, s) = r, so there are exactly r blocks, and no
-  block can exceed the p-power envelope s of the larger factor; r blocks
-  bounded by s summing to r*s must all equal s.
-* ``r, s <= p``: iterate the chi_0 column rule through the recurrence
-  [m+1] = [2][m] - [m-1] of the quantum numbers, starting from
-  [1] V_s = V_s.
-* otherwise: recurse through the level-beta digit reduction, beta minimal
-  with s <= p^(beta+1), whose base case is the product of the two
-  level-beta remainders.
+The engine decomposes V_r (x) V_s (with r <= s after swapping) by one
+rule, the digit reduction at the level beta of the leading base-p digit
+of s: s = s0 p^beta + s1 with 1 <= s0 < p, r = r0 p^beta + r1, and the
+remainders' product V_{r1} (x) V_{s1} recursed through the memo.  At
+beta = 0 (s < p) this is the classical C_p decomposition; an exact power
+s = p^beta enters with s0 = 1, s1 = 0 and yields r V_s.
 
 The boundary term of the digit-reduction rule admits several candidate
 readings; they were discriminated empirically against the brute-force
@@ -38,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from types import MappingProxyType
 from typing import Mapping
 
 from .digits import VerificationError, is_prime
@@ -78,9 +72,10 @@ class GroupSpec:
 class RingElement:
     """A virtual module: finite integer combination of V_1 .. V_q.
 
-    ``coeffs`` maps index -> nonzero integer coefficient.  Nonpositive
-    indices passed to the constructor are the zero module and vanish;
-    zero coefficients are pruned.  Treat instances as immutable.
+    ``coeffs`` is a read-only mapping index -> nonzero integer
+    coefficient, so the hash cannot go stale.  Nonpositive indices passed
+    to the constructor are the zero module and vanish; zero coefficients
+    are pruned.
     """
 
     __slots__ = ("group", "coeffs")
@@ -95,7 +90,7 @@ class RingElement:
                 raise ValueError(f"index {idx} exceeds q = {group.q}")
             clean[idx] = c
         self.group = group
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -239,46 +234,19 @@ def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
     return RingElement(group, _chi_column(group.p, k, s))
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 # Tensor memo: key (p, r, s) with r <= s; the decomposition of
 # V_r (x) V_s depends only on p, never on alpha, because every block is
 # bounded by the p-power envelope of max(r, s).
 _TENSOR_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
 
 
-def _tensor_base(p: int, r: int, s: int) -> dict[int, int]:
-    """V_r (x) V_s for 2 <= r <= s <= p via the chi_0 column rule.
-
-    E_m := [m] at chi_0, times V_s, satisfies E_1 = V_s and
-    E_{m+1} = chi_0 E_m - E_{m-1}; E_r is the answer since V_r = [r] at
-    chi_0 for r <= p.  Intermediate supports stay within 1..p, the valid
-    window of the level-0 column rule.
-    """
-    prev: dict[int, int] = {}
-    cur: dict[int, int] = {s: 1}
-    for _ in range(r - 1):
-        nxt: dict[int, int] = {}
-        for t, c in cur.items():
-            for idx, d in _chi_column(p, 0, t).items():
-                nxt[idx] = nxt.get(idx, 0) + c * d
-        for t, c in prev.items():
-            nxt[t] = nxt.get(t, 0) - c
-        prev, cur = cur, {t: c for t, c in nxt.items() if c}
-    return cur
-
-
 @dataclasses.dataclass(frozen=True)
 class ReductionParameters:
     """Digit data for the level-beta reduction of V_r (x) V_s, r <= s.
 
-    r = r0 p^beta + r1 and s = s0 p^beta + s1 with 0 <= r1, s1 < p^beta;
-    c1, d1, d2 switch on r0 + s0 against p; base_product lists the pairs
-    (a_j, b_j) with V_{r1} (x) V_{s1} = sum a_j V_{b_j}.
+    beta is the level of the leading base-p digit of s, so
+    s = s0 p^beta + s1 with 1 <= s0 < p, r = r0 p^beta + r1, and
+    0 <= r1, s1 < p^beta; c1, d1, d2 switch on r0 + s0 against p.
     """
 
     beta: int
@@ -289,38 +257,29 @@ class ReductionParameters:
     c1: int
     d1: int
     d2: int
-    base_product: tuple[tuple[int, int], ...]
 
 
 def reduction_parameters(p: int, r: int, s: int) -> ReductionParameters:
-    """Parameters driving one level of the digit reduction (r <= s, p < s,
-    s not a power of p; powers of p are absorbed before reduction)."""
-    if r > s:
-        raise ValueError("reduction expects r <= s")
-    if s <= p or _is_p_power(s, p):
-        raise ValueError("reduction applies to s > p that is not a p-power")
-    beta = 1
-    while s > p ** (beta + 1):
-        beta += 1
-    pb = p**beta
+    """Parameters driving one level of the digit reduction, 1 <= r <= s."""
+    if not 1 <= r <= s:
+        raise ValueError(f"reduction expects 1 <= r <= s, got r={r}, s={s}")
+    beta, pb = 0, 1
+    while pb * p <= s:
+        beta, pb = beta + 1, pb * p
     r0, r1 = divmod(r, pb)
     s0, s1 = divmod(s, pb)
     if r0 + s0 < p:
         c1, d1, d2 = 0, r0, r0
     else:
         c1, d1, d2 = r + s - pb * p, p - s0 - 1, p - s0
-    if r1 >= 1 and s1 >= 1:
-        base = _tensor_coeffs(p, r1, s1)
-    else:
-        base = {}
-    base_product = tuple((base[idx], idx) for idx in sorted(base))
-    return ReductionParameters(beta, r0, r1, s0, s1, c1, d1, d2, base_product)
+    return ReductionParameters(beta, r0, r1, s0, s1, c1, d1, d2)
 
 
 def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
-    """One level of the digit reduction, expanding through the memoized
-    base product.  The lone boundary term outside the base-product sums is
-    max(0, r1 - s1) V_{(s0-r0) p^beta}; see docs/discrepancies.md."""
+    """V_r (x) V_s, r <= s, by one level of the digit reduction, with the
+    remainders' product V_{r1} (x) V_{s1} = sum a_j V_{b_j} read from the
+    memoized engine.  The lone boundary term outside the base-product sums
+    is max(0, r1 - s1) V_{(s0-r0) p^beta}; see docs/discrepancies.md."""
     params = reduction_parameters(p, r, s)
     pb = p**params.beta
     shift = (params.s0 - params.r0) * pb
@@ -338,11 +297,12 @@ def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
     weight = pb - params.r1 - params.s1
     for i in range(1, params.d2 + 1):
         bump(shift + (2 * i - 1) * pb, weight)
-    for a_j, b_j in params.base_product:
-        for i in range(1, params.d1 + 1):
-            bump(shift + 2 * i * pb + b_j, a_j)
-            bump(shift + 2 * i * pb - b_j, a_j)
-        bump(shift + b_j, a_j)
+    if params.r1 and params.s1:
+        for b_j, a_j in _tensor_coeffs(p, params.r1, params.s1).items():
+            for i in range(1, params.d1 + 1):
+                bump(shift + 2 * i * pb + b_j, a_j)
+                bump(shift + 2 * i * pb - b_j, a_j)
+            bump(shift + b_j, a_j)
     return {idx: c for idx, c in out.items() if c}
 
 
@@ -353,14 +313,7 @@ def _tensor_coeffs(p: int, r: int, s: int) -> dict[int, int]:
     cached = _TENSOR_CACHE.get(key)
     if cached is not None:
         return cached
-    if r == 1:
-        out = {s: 1}
-    elif _is_p_power(s, p):
-        out = {s: r}
-    elif s <= p:
-        out = _tensor_base(p, r, s)
-    else:
-        out = _tensor_reduce(p, r, s)
+    out = _tensor_reduce(p, r, s)
     if any(c <= 0 for c in out.values()):
         raise VerificationError(f"negative multiplicity at {key}")
     if sum(i * c for i, c in out.items()) != r * s:

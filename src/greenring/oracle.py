@@ -230,10 +230,13 @@ def verify_engine(
     the symbolic tensor decomposition against the oracle Jordan type.
 
     Returns the list of mismatches (empty on success), each entry ready
-    for JSON serialization.
+    for JSON serialization.  A budget below 1 would check no pair at all,
+    so it is rejected.
     """
     from . import core_ring
 
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     group = core_ring.GroupSpec(p, alpha)
     q = group.q
     mismatches = []

@@ -50,23 +50,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    @staticmethod
-    def identity(n: int) -> IntMatrix:
-        return IntMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
-
-    def matmul(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.entries)) if other.entries else ()
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
 
 def u_element(group: GroupSpec, r: int) -> RingElement:
     """U_r expanded into the V-basis.

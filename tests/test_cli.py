@@ -130,6 +130,12 @@ class TestRankVerifyRelations:
         code, out, _ = run("verify", "--p", "2", "--alpha", "2", "--format", "json")
         assert (code, json.loads(out)) == (0, [])
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_verify_rejects_budget_below_one(self, run, budget):
+        code, out, err = run("verify", "--p", "3", "--alpha", "2", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "budget" in err
+
     def test_verify_rejects_int64_unsafe_prime(self, run):
         code, out, err = run("verify", "--p", "4294967311", "--alpha", "1")
         assert (code, out) == (2, "")
@@ -172,7 +178,7 @@ class TestVerificationFailure:
 
     def test_exit_1_without_traceback(self, run, monkeypatch):
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_tensor_base", lambda p, r, s: {s: r - 1})
+        monkeypatch.setattr(core_ring, "_tensor_reduce", lambda p, r, s: {s: r - 1})
         code, out, err = run("tensor", "--p", "5", "--alpha", "1", "2", "3")
         assert (code, out) == (1, "")
         assert err.startswith("error: dimension lost")
@@ -182,7 +188,7 @@ class TestVerificationFailure:
         script = (
             "from greenring import core_ring, digits\n"
             "core_ring._TENSOR_CACHE.clear()\n"
-            "core_ring._tensor_base = lambda p, r, s: {s: r - 1}\n"
+            "core_ring._tensor_reduce = lambda p, r, s: {s: r - 1}\n"
             "try:\n"
             "    core_ring.tensor(core_ring.GroupSpec(5, 1), 2, 3)\n"
             "except digits.VerificationError:\n"

@@ -16,6 +16,9 @@ from greenring.core_ring import (
     tensor,
     zero,
 )
+from greenring.oracle import jordan_type
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 G53 = GroupSpec(5, 3)
 G33 = GroupSpec(3, 3)
@@ -43,6 +46,13 @@ class TestGroupSpec:
 class TestRingElement:
     def test_zero_coefficients_pruned(self):
         assert V(G53, (3, 0), (4, 2)).coeffs == {4: 2}
+
+    def test_coeffs_are_read_only(self):
+        element = V(G53, (4, 2))
+        with pytest.raises(TypeError):
+            element.coeffs[4] = 3
+        assert dict(element.coeffs) == {4: 2} and element.coeffs.get(4) == 2
+        assert hash(element) == hash(V(G53, (4, 2)))
 
     def test_index_zero_is_the_zero_module(self):
         assert V(G53, (0, 7)).is_zero()
@@ -165,6 +175,42 @@ class TestTensor:
         with pytest.raises(ValueError):
             tensor(G53, 2, 126)
 
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_level_zero_equals_oracle(self, p):
+        # beta = 0 of the digit reduction (the classical C_p rule), with
+        # s = p entering at beta = 1 as an exact power
+        group = GroupSpec(p, 1)
+        for s in range(1, p + 1):
+            for r in range(1, s + 1):
+                expected = jordan_type(p, r, s).multiplicities()
+                assert tensor(group, r, s).coeffs == expected, (p, r, s)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_cross_check_chi0_recurrence(self, p):
+        # cross-check against the retired base case: E_1 = V_s and
+        # E_{m+1} = chi_0 E_m - E_{m-1}, so E_r = [r] at chi_0 times V_s
+        # = V_r (x) V_s, built from mul_chi_V alone
+        group = GroupSpec(p, 1)
+        for s in range(2, p):
+            prev, cur = zero(group), basis_element(group, s)
+            for r in range(2, s + 1):
+                step = zero(group)
+                for t, c in cur.coeffs.items():
+                    step = step + c * mul_chi_V(group, 0, t)
+                prev, cur = cur, step - prev
+                assert tensor(group, r, s) == cur, (p, r, s)
+
+    @pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2)])
+    def test_cross_check_p_power_rule(self, p, alpha):
+        # cross-check against the retired rule V_r (x) V_{p^k} = r V_{p^k}:
+        # g (x) g - 1 has an r-dimensional kernel, so there are r blocks,
+        # each bounded by the p-power envelope p^k
+        group = GroupSpec(p, alpha)
+        for k in range(alpha + 1):
+            pk = p**k
+            for r in range(1, pk + 1):
+                assert tensor(group, r, pk) == V(group, (pk, r)), (p, r, pk)
+
     @pytest.mark.parametrize("p,alpha", [(2, 3), (3, 3), (5, 2), (7, 1)])
     def test_symmetry_positivity_dimension(self, p, alpha):
         group = GroupSpec(p, alpha)
@@ -279,11 +325,15 @@ class TestInduce:
 class TestReductionParameters:
     @pytest.mark.parametrize(
         "p,r,s",
-        [(5, 2, 11), (5, 7, 11), (5, 11, 21), (3, 4, 7), (2, 3, 7), (5, 9, 9)],
+        [
+            (5, 2, 11), (5, 7, 11), (5, 11, 21), (3, 4, 7), (2, 3, 7), (5, 9, 9),
+            (5, 2, 3), (5, 3, 25), (2, 1, 1),
+        ],
     )
     def test_case_split(self, p, r, s):
         params = reduction_parameters(p, r, s)
         pb = p**params.beta
+        assert pb <= s < pb * p and 1 <= params.s0 < p
         assert r == params.r0 * pb + params.r1 and 0 <= params.r1 < pb
         assert s == params.s0 * pb + params.s1 and 0 <= params.s1 < pb
         if params.r0 + params.s0 < p:
@@ -295,6 +345,6 @@ class TestReductionParameters:
             assert params.d1 == p - params.s0 - 1
             assert params.d2 == p - params.s0
 
-    def test_rejects_p_power(self):
+    def test_rejects_unordered_pair(self):
         with pytest.raises(ValueError):
-            reduction_parameters(5, 3, 25)
+            reduction_parameters(5, 25, 3)

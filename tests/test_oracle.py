@@ -175,6 +175,12 @@ class TestVerifyEngine:
         # only pairs with r*s <= budget are checked; must still be clean
         assert verify_engine(3, 4, budget=500) == []
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        # such a budget checks no pair, so a clean result would mean nothing
+        with pytest.raises(ValueError, match="budget"):
+            verify_engine(3, 2, budget=budget)
+
     def test_large_group_small_budget_is_bounded(self):
         # q = 2^16 has about 2e9 pairs; only the 144 within budget are visited
         assert verify_engine(2, 16, budget=64) == []

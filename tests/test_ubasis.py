@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,9 +161,11 @@ class TestChangeOfBasis:
         group = GroupSpec(p, alpha)
         forward = change_of_basis(group, "v_to_u")
         backward = change_of_basis(group, "u_to_v")
-        identity = IntMatrix.identity(group.q)
-        assert forward.matmul(backward) == identity
-        assert backward.matmul(forward) == identity
+        fwd = np.array(forward.entries, dtype=np.int64)
+        bwd = np.array(backward.entries, dtype=np.int64)
+        identity = np.eye(group.q, dtype=np.int64)
+        assert np.array_equal(fwd @ bwd, identity)
+        assert np.array_equal(bwd @ fwd, identity)
 
     def test_row_at_power_is_standard_vector(self):
         group = GroupSpec(3, 2)
@@ -183,7 +186,7 @@ class TestChangeOfBasis:
 
 class TestRenderMatrix:
     def test_text_identity(self):
-        grid = render_matrix(IntMatrix.identity(2), "text").decode()
+        grid = render_matrix(IntMatrix(((1, 0), (0, 1))), "text").decode()
         assert grid == "█·\n·█\n"
 
     def test_csv(self):
