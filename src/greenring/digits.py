@@ -7,9 +7,9 @@ is the U-basis support of the n-th indecomposable; the recursion itself
 never looks at a group, so composite bases work too and are checked
 exhaustively in the test suite.
 
-The module also holds the package's single prime factorization and its
-``VerificationError``; it imports nothing from the package, so the
-engine-free oracle can share them.
+The module also holds the package's single prime factorization, its
+primality test and its ``VerificationError``; it imports nothing from the
+package, so the engine-free oracle can share them.
 """
 
 from __future__ import annotations
@@ -33,28 +33,60 @@ class VerificationError(Exception):
     input.  The command line reports it with exit status 1."""
 
 
-def _trial_division(n: int):
-    """Yield the distinct prime factors of n in ascending order."""
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n in ascending order, by trial division;
+    empty for n <= 1."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            yield d
+            out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        yield n
+        out.append(n)
+    return out
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n in ascending order; empty for n <= 1."""
-    return list(_trial_division(n))
+# Miller-Rabin with the primes up to 41 as bases is exact below this
+# bound (Sorenson and Webster 2015); the same primes serve as the trial
+# divisors that reject composites with a small factor at once.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Primality; stops at the smallest factor, so composites with a small
-    factor are rejected at once whatever their size."""
-    return n >= 2 and next(_trial_division(n)) == n
+    """Primality by trial division by the primes up to 41, then a
+    deterministic Miller-Rabin test; raises ``ValueError`` at or above
+    the bound where those bases are proven exact rather than guess."""
+    if n < 2:
+        return False
+    for d in _SMALL_PRIMES:
+        if n % d == 0:
+            return n == d
+    if n < 43 * 43:
+        return True
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"primality of {n} is not decided: deterministic Miller-Rabin "
+            f"is exact only below {_MILLER_RABIN_LIMIT}"
+        )
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _check_base(base: int) -> None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
+import itertools
 
 from .core_ring import GroupSpec, mul
 from .digits import VerificationError, is_prime, prime_factors
@@ -72,7 +74,7 @@ class LatticeBasis:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(int(v) for v in g) for g in self.generators)
+        gens = tuple(tuple(map(int, g)) for g in self.generators)
         if any(len(g) != self.ambient_rank for g in gens):
             raise ValueError("generator length differs from ambient rank")
         object.__setattr__(self, "generators", gens)
@@ -222,60 +224,98 @@ def _smith_dense(mat: list[list[int]]) -> list[int]:
     return out
 
 
+def _row_score(row: dict[int, int], cols: dict[int, set[int]]):
+    """Markowitz pivot of one row: the +-1 entry whose column is held by
+    the fewest rows, as (fill-in bound, column); None without a +-1."""
+    best = None
+    for j, v in row.items():
+        if v == 1 or v == -1:
+            count = len(cols[j])
+            if best is None or count < best[0]:
+                best = (count, j)
+    if best is None:
+        return None
+    return ((len(row) - 1) * (best[0] - 1), best[1])
+
+
 def _invariant_factors(vectors) -> list[int]:
     """Nonzero invariant factors of the span of integer vectors.
 
-    Sparse phase first: repeatedly pivot on a +-1 entry chosen to limit
-    fill-in (these contribute unit factors and keep the arithmetic
-    integer-exact for the incidence-like matrices this module builds);
-    whatever is left goes through the dense routine.
+    Sparse phase first: repeatedly pivot on a +-1 entry chosen by
+    Markowitz's rule, the least (len(row) - 1) * (count(col) - 1), which
+    bounds the fill-in.  These pivots contribute unit factors and keep the
+    arithmetic integer-exact for the incidence-like matrices this module
+    builds.  Rows are dicts under a stable row id, a column index maps each
+    column to the ids of the rows holding it (so a column count is the
+    size of its set and elimination visits only the pivot column's rows),
+    and each row's best score sits in a lazily invalidated heap.  After a
+    pivot only the rows holding one of the pivot row's columns are
+    rescored: those are the modified rows and every row whose column
+    counts changed.  A popped entry that no longer matches its row's
+    current score is skipped.  Whatever has no +-1 entry left goes through
+    the dense routine.
     """
-    rows: list[dict[int, int]] = []
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
     for vec in vectors:
-        row = {j: int(v) for j, v in enumerate(vec) if v}
+        row = {j: int(vec[j]) for j in itertools.compress(range(len(vec)), vec)}
         if row:
-            rows.append(row)
-    units = 0
-    while rows:
-        col_count: dict[int, int] = {}
-        for row in rows:
+            rid = len(rows)
+            rows[rid] = row
             for j in row:
-                col_count[j] = col_count.get(j, 0) + 1
-        best = None
-        for ri, row in enumerate(rows):
-            for j, v in row.items():
-                if v in (1, -1):
-                    score = (len(row) - 1) * (col_count[j] - 1)
-                    if best is None or score < best[0]:
-                        best = (score, ri, j, v)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, ri, j, v = best
-        pivot = rows.pop(ri)
-        if v == -1:
+                cols.setdefault(j, set()).add(rid)
+    scores: dict[int, tuple[int, int]] = {}
+    for rid, row in rows.items():
+        score = _row_score(row, cols)
+        if score is not None:
+            scores[rid] = score
+    heap = [(score, rid, j) for rid, (score, j) in scores.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        score, rid, j = heapq.heappop(heap)
+        if scores.get(rid) != (score, j):
+            continue
+        del scores[rid]
+        pivot = rows.pop(rid)
+        if pivot[j] == -1:
             pivot = {k: -w for k, w in pivot.items()}
-        survivors = []
-        for row in rows:
-            c = row.get(j)
-            if c:
-                for k, w in pivot.items():
-                    nv = row.get(k, 0) - c * w
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
+        for k in pivot:
+            cols[k].discard(rid)
+        touched = set()
+        for other in list(cols[j]):
+            row = rows[other]
+            c = row[j]
+            for k, w in pivot.items():
+                nv = row.get(k, 0) - c * w
+                if nv:
+                    if k not in row:
+                        cols[k].add(other)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    cols[k].discard(other)
             if row:
-                survivors.append(row)
-        rows = survivors
+                touched.add(other)
+            else:
+                del rows[other]
+                scores.pop(other, None)
         units += 1
+        for k in pivot:
+            touched.update(cols[k])
+        for other in touched:
+            score = _row_score(rows[other], cols)
+            if score is None:
+                scores.pop(other, None)
+            elif scores.get(other) != score:
+                scores[other] = score
+                heapq.heappush(heap, (score[0], other, score[1]))
     factors = [1] * units
     if rows:
-        cols = sorted({j for row in rows for j in row})
-        colmap = {j: i for i, j in enumerate(cols)}
-        dense = [[0] * len(cols) for _ in rows]
-        for i, row in enumerate(rows):
+        remaining = sorted(j for j, held in cols.items() if held)
+        colmap = {j: i for i, j in enumerate(remaining)}
+        dense = [[0] * len(remaining) for _ in rows]
+        for i, row in enumerate(rows.values()):
             for j, v in row.items():
                 dense[i][colmap[j]] = v
         factors.extend(d for d in _smith_dense(dense) if d)

@@ -142,6 +142,25 @@ class TestRankVerifyRelations:
         assert err.startswith("error:") and "int64" in err
         assert "Traceback" not in err
 
+    def test_verify_large_prime_reaches_int64_guard(self, run):
+        # 10^18 + 3 is prime; deciding that must not trial-divide to 10^9
+        code, out, err = run("verify", "--p", "1000000000000000003", "--alpha", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "int64" in err
+
+    def test_tensor_large_prime(self, run):
+        code, out, _ = run("tensor", "--p", "1000000000000000003", "--alpha", "1", "1", "1")
+        assert (code, out) == (0, "V1\n")
+
+    def test_rank_headline_2310(self, run):
+        code, out, _ = run("rank", "2310", "--p", "11")
+        assert (code, out) == (0, "quotient_rank 480, phi 480\n")
+        code, out, _ = run("rank", "2310", "--p", "11", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["ideal_rank"] == 1830
+        assert payload["invariant_factors"] == [1] * 1830
+
     def test_relations_text(self, run):
         code, out, _ = run("relations", "--p", "5", "--alpha", "3")
         assert (code, out) == (0, "F0 F1 F2 all vanish\n")

@@ -41,14 +41,29 @@ class TestToDigits:
 
 class TestPrimes:
     def test_against_sympy(self):
-        for n in range(-2, 2001):
-            assert is_prime(n) == sympy.isprime(n), n
-            if n >= 1:
-                assert prime_factors(n) == sorted(sympy.factorint(n)), n
+        assert all(is_prime(n) == sympy.isprime(n) for n in range(-2, 100_001))
+        for n in range(1, 2001):
+            assert prime_factors(n) == sorted(sympy.factorint(n)), n
 
     def test_small_factor_rejects_at_once(self):
         # 2^61 - 1 is prime: dividing it out by trial would take minutes
         assert not is_prime(2 * (2**61 - 1))
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+    def test_large_primes_at_once(self):
+        assert is_prime(10**18 + 3)
+        assert is_prime(2**61 - 1)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+    def test_undecided_above_the_miller_rabin_bound(self):
+        # 3317044064679887385961981 has no prime factor up to 41
+        with pytest.raises(ValueError, match="Miller-Rabin"):
+            is_prime(3317044064679887385961981)
 
 
 class TestTrickSet:

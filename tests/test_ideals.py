@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from greenring.core_ring import GroupSpec, RingElement, basis_element, mul
 from greenring.ideals import (
     CyclicGroupSpec,
+    _invariant_factors,
+    _smith_dense,
     LatticeBasis,
     cyclotomic,
     euler_phi,
@@ -89,6 +91,29 @@ class TestSmithNormalForm:
             abs(int(theirs[i, i])) for i in range(min(theirs.rows, theirs.cols))
         ]
         assert ours == [d for d in diag if d]
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda ncols: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0, 0, 0, 1, -1]), st.integers(-9, 9)
+                    ),
+                    min_size=ncols,
+                    max_size=ncols,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_cross_check_sparse_phase_against_dense(self, rows):
+        # Cross-check: the heap-driven sparse phase plus dense remainder
+        # against the dense routine alone.  The weights towards 0 and +-1
+        # make pivots, fill-in and a dense remainder all occur.
+        dense = [d for d in _smith_dense([list(r) for r in rows]) if d]
+        assert _invariant_factors([tuple(r) for r in rows]) == dense
 
 
 class TestInducedIdealQ:
