@@ -37,9 +37,7 @@ from .ideals import (
     LatticeBasis,
     cyclotomic,
     euler_phi,
-    non_induced_rank,
     smith_normal_form,
-    z_rank,
 )
 from .oracle import JordanType, jordan_type, rank_fp, verify_engine
 from .quantum import (
@@ -58,7 +56,7 @@ __all__ = [
     "TrickCertificate", "VerificationError", "to_digits", "trick_certificate",
     "trick_set",
     "CyclicGroupSpec", "LatticeBasis", "cyclotomic", "euler_phi",
-    "non_induced_rank", "smith_normal_form", "z_rank",
+    "smith_normal_form",
     "JordanType", "jordan_type", "rank_fp", "verify_engine",
     "IntPolynomial", "eval_at_element", "quantum_closed_form",
     "quantum_number", "relation_F", "relation_F0",

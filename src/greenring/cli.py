@@ -3,7 +3,7 @@
 Subcommands: tensor, ubasis, cousins, matrix, trick, rank, verify,
 relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or out of memory.
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

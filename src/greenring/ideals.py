@@ -30,10 +30,8 @@ __all__ = [
     "induced_ideal_q",
     "semisimple_ideal",
     "ideal_lattice",
-    "z_rank",
     "smith_normal_form",
     "invariant_factors",
-    "non_induced_rank",
     "rank_report",
     "principal_generation_check",
     "euler_phi",
@@ -120,7 +118,8 @@ def induced_ideal_q(group: GroupSpec) -> LatticeBasis:
 
 
 def semisimple_ideal(m: int) -> LatticeBasis:
-    """Induced-character span for C_m on the basis Y^0..Y^(m-1)."""
+    """Induced-character span for C_m on the basis Y^0..Y^(m-1); the model
+    Z[Y]/(Y^m - 1) assumes the field holds the m-th roots of unity."""
     if m < 1:
         raise ValueError("order must be at least 1")
     gens = []
@@ -136,7 +135,8 @@ def semisimple_ideal(m: int) -> LatticeBasis:
 
 def ideal_lattice(spec: CyclicGroupSpec) -> LatticeBasis:
     """Combined induced ideal for C_n = C_m x C_q on the product basis;
-    coordinate i*q + j holds Y^i tensor V_{j+1}."""
+    coordinate i*q + j holds Y^i tensor V_{j+1}.  The n-wide cross-check
+    of ``rank_report``'s factor-by-factor route; only tests build it."""
     m, q, p, n = spec.m, spec.q, spec.p, spec.n
     gens = []
     for sv in semisimple_ideal(m).generators:
@@ -327,11 +327,6 @@ def invariant_factors(basis: LatticeBasis) -> tuple[int, ...]:
     return tuple(_invariant_factors(basis.generators))
 
 
-def z_rank(basis: LatticeBasis) -> int:
-    """Rank of the integer span."""
-    return len(invariant_factors(basis))
-
-
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, d_1 | d_2 | ..., zeros included
     up to min(rows, cols)."""
@@ -340,22 +335,35 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     return tuple(factors) + (0,) * (width - len(factors))
 
 
-def non_induced_rank(spec: CyclicGroupSpec) -> int:
-    """Rank of the quotient by the combined induced ideal; the rank
-    theorems say this equals euler_phi(n) for every valid characteristic."""
-    return spec.n - z_rank(ideal_lattice(spec))
-
-
 def rank_report(spec: CyclicGroupSpec) -> dict:
-    """JSON-ready summary of the rank computation for one (n, p)."""
-    factors = invariant_factors(ideal_lattice(spec))
+    """JSON-ready summary of the rank computation for one (n, p).
+
+    Z[C_n] is the tensor product of the rings of its prime-power factors
+    (Chinese remainder theorem), and the induced ideal is the sum of each
+    factor's ideal tensored with the other factors.  Tensor products are
+    right exact, so the quotient is the tensor product of the factors'
+    quotients: one small Smith form per factor, ranks multiplied.  The
+    all-unit invariant factors need torsion-free factors: checked, not assumed.
+    """
+    factors = [
+        semisimple_ideal(CyclicGroupSpec(spec.m, ell).q) for ell in prime_factors(spec.m)
+    ]
+    if spec.alpha >= 1:
+        factors.append(induced_ideal_q(GroupSpec(spec.p, spec.alpha)))
+    quotient_rank = 1
+    for basis in factors:
+        found = invariant_factors(basis)
+        if any(f != 1 for f in found):
+            raise VerificationError(f"torsion in the factor of order {basis.ambient_rank}")
+        quotient_rank *= basis.ambient_rank - len(found)
+    ideal_rank = spec.n - quotient_rank
     return {
         "n": spec.n,
         "p": spec.p,
-        "ideal_rank": len(factors),
-        "quotient_rank": spec.n - len(factors),
+        "ideal_rank": ideal_rank,
+        "quotient_rank": quotient_rank,
         "phi_n": euler_phi(spec.n),
-        "invariant_factors": list(factors),
+        "invariant_factors": [1] * ideal_rank,
     }
 
 

@@ -11,6 +11,8 @@ from greenring.core_ring import GroupSpec, tensor
 from greenring.digits import is_prime, trick_certificate
 from greenring.ideals import (
     CyclicGroupSpec,
+    ideal_lattice,
+    invariant_factors,
     principal_generation_check,
     rank_report,
 )
@@ -165,10 +167,17 @@ def test_criterion_07_rank_theorems():
                 failures.append((n, p, "rank"))
             if any(f != 1 for f in report["invariant_factors"]):
                 failures.append((n, p, "torsion"))
+            # Cross-check: one Smith form of the whole n-wide induced ideal.
+            factors = invariant_factors(ideal_lattice(spec))
+            if spec.n - len(factors) != report["quotient_rank"]:
+                failures.append((n, p, "n-wide rank"))
+            if any(f != 1 for f in factors):
+                failures.append((n, p, "n-wide torsion"))
     _criterion(
         7,
         "quotient rank equals phi(n) for n <= 360 under every valid "
-        f"characteristic, torsion-free lattices; failures {failures[:5] or 'none'}",
+        "characteristic, torsion-free lattices, cross-checked against the "
+        f"n-wide lattice; failures {failures[:5] or 'none'}",
         not failures,
     )
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,21 @@ import pytest
 import greenring
 from greenring import core_ring
 from greenring.cli import main
+
+
+def _run_capped(*argv):
+    """Run the CLI in a child process whose address space is capped at
+    2 GiB, so an oversized allocation fails there, not in the test run."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    src = str(Path(greenring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "greenring.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+    )
 
 
 @pytest.fixture
@@ -160,6 +176,23 @@ class TestRankVerifyRelations:
         assert code == 0
         assert payload["ideal_rank"] == 1830
         assert payload["invariant_factors"] == [1] * 1830
+
+    def test_rank_reach_30030(self):
+        # n = 2*3*5*7*11*13; one n-wide lattice would need ~1.1e9 entries
+        done = _run_capped("rank", "30030", "--p", "13")
+        assert (done.returncode, done.stdout) == (0, "quotient_rank 5760, phi 5760\n")
+        done = _run_capped("rank", "30030", "--p", "13", "--format", "json")
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["ideal_rank"] == 24270
+        assert payload["invariant_factors"] == [1] * 24270
+
+    def test_rank_out_of_memory_is_exit_2(self):
+        # 10^12 + 39 is prime, so its factor is a 10^12-wide vector
+        done = _run_capped("rank", "1000000000039", "--p", "2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
     def test_relations_text(self, run):
         code, out, _ = run("relations", "--p", "5", "--alpha", "3")

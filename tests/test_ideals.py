@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenring
 from greenring.core_ring import GroupSpec, RingElement, basis_element, mul
+from greenring.digits import is_prime
 from greenring.ideals import (
     CyclicGroupSpec,
     _invariant_factors,
@@ -13,12 +20,10 @@ from greenring.ideals import (
     ideal_lattice,
     induced_ideal_q,
     invariant_factors,
-    non_induced_rank,
     principal_generation_check,
     rank_report,
     semisimple_ideal,
     smith_normal_form,
-    z_rank,
 )
 from greenring.quantum import IntPolynomial
 from greenring.ubasis import IntMatrix
@@ -128,7 +133,7 @@ class TestInducedIdealQ:
     def test_p2_alpha3(self):
         basis = induced_ideal_q(GroupSpec(2, 3))
         assert [g.index(1) + 1 for g in basis.generators] == [2, 4, 6, 8]
-        assert z_rank(basis) == 4
+        assert len(invariant_factors(basis)) == 4
 
     @pytest.mark.parametrize(
         "p,alpha",
@@ -140,7 +145,7 @@ class TestInducedIdealQ:
     def test_quotient_rank_is_totient(self, p, alpha):
         # every q = p^alpha up to 243 for p in {2, 3, 5}, plus 49
         group = GroupSpec(p, alpha)
-        assert group.q - z_rank(induced_ideal_q(group)) == euler_phi(group.q)
+        assert group.q - len(invariant_factors(induced_ideal_q(group))) == euler_phi(group.q)
 
 
 class TestSemisimpleIdeal:
@@ -163,13 +168,13 @@ class TestSemisimpleIdeal:
 
 class TestZRank:
     def test_empty(self):
-        assert z_rank(LatticeBasis(5, ())) == 0
+        assert len(invariant_factors(LatticeBasis(5, ()))) == 0
 
     def test_standard_basis(self):
-        assert z_rank(LatticeBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
+        assert len(invariant_factors(LatticeBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))) == 3
 
     def test_dependent_rows(self):
-        assert z_rank(LatticeBasis(3, ((1, 2, 3), (2, 4, 6)))) == 1
+        assert len(invariant_factors(LatticeBasis(3, ((1, 2, 3), (2, 4, 6))))) == 1
 
 
 class TestPrincipalGeneration:
@@ -189,18 +194,27 @@ class TestPrincipalGeneration:
             assert lhs == rhs, (p, alpha, m)
 
 
+def _characteristics(n: int) -> list[int]:
+    """The primes dividing n, plus the smallest prime that does not."""
+    found = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    p = 2
+    while n % p == 0 or not is_prime(p):
+        p += 1
+    return found + [p]
+
+
 class TestNonInducedRank:
     @pytest.mark.parametrize(
         "n,p,expected",
         [(9, 3, 6), (12, 2, 4), (12, 3, 4), (7, 3, 6), (30, 5, 8), (1, 2, 1)],
     )
     def test_values(self, n, p, expected):
-        assert non_induced_rank(CyclicGroupSpec(n, p)) == expected
+        assert rank_report(CyclicGroupSpec(n, p))["quotient_rank"] == expected
 
     def test_coprime_characteristic_uses_semisimple_path(self):
         spec = CyclicGroupSpec(9, 2)
         assert spec.alpha == 0 and spec.m == 9
-        assert non_induced_rank(spec) == euler_phi(9)
+        assert rank_report(spec)["quotient_rank"] == euler_phi(9)
 
     def test_report_fields(self):
         report = rank_report(CyclicGroupSpec(12, 2))
@@ -218,8 +232,45 @@ class TestNonInducedRank:
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
         for p in primes or [2]:
             spec = CyclicGroupSpec(n, p)
-            assert non_induced_rank(spec) == euler_phi(n), (n, p)
+            assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
             assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
+
+    def test_torsion_in_a_factor_is_a_verification_failure(self):
+        # The product assembly assumes torsion-free factors; a factor with
+        # a non-unit invariant factor must raise, also under python -O.
+        script = (
+            "from greenring import ideals\n"
+            "ideals.invariant_factors = lambda basis: (2,)\n"
+            "try:\n"
+            "    ideals.rank_report(ideals.CyclicGroupSpec(12, 2))\n"
+            "except ideals.VerificationError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(greenring.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("torsion in the factor"), done.stdout
+
+    @given(
+        st.integers(361, 1200).flatmap(
+            lambda n: st.tuples(st.just(n), st.sampled_from(_characteristics(n)))
+        )
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_cross_check_against_n_wide_lattice(self, case):
+        # Cross-check: the factor-by-factor report against one Smith form
+        # of the whole n-wide induced ideal, past acceptance 07's n <= 360.
+        n, p = case
+        spec = CyclicGroupSpec(n, p)
+        report = rank_report(spec)
+        factors = invariant_factors(ideal_lattice(spec))
+        assert n - len(factors) == report["quotient_rank"] == euler_phi(n)
+        assert report["ideal_rank"] == len(factors)
+        assert all(f == 1 for f in factors)
 
 
 class TestIdealMembership:
