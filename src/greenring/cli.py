@@ -3,7 +3,8 @@
 Subcommands: tensor, ubasis, cousins, matrix, trick, rank, verify,
 relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
-Exit codes: 0 success, 1 verification failure, 2 usage error or out of memory.
+Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory
+or an I/O error such as an unwritable --out path.
 """
 
 from __future__ import annotations
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

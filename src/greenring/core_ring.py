@@ -21,9 +21,17 @@ readings; they were discriminated empirically against the brute-force
 oracle (``greenring.oracle``), and the reading implemented here survives
 exhaustive sweeps.  See docs/discrepancies.md for the record.
 
+One reduction writes the remainder terms V_{b_j} with b_j < p^beta into
+disjoint blocks between consecutive multiples of p^beta, so they never
+merge; only the terms on multiples of p^beta are summed (see
+``_tensor_reduce``).
+
 All operations are pure functions on immutable values.  The tensor memo
-table is a read-mostly dict; CPython dict operations are atomic under the
-GIL and recomputing an entry is harmless, so no locking is used.
+table is a read-mostly dict that stores each entry once, as a read-only
+mapping checked for positivity and dimension when it is computed;
+``tensor`` returns elements that share that mapping without copying it.
+CPython dict operations are atomic under the GIL and recomputing an entry
+is harmless, so no locking is used.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from types import MappingProxyType
 from typing import Mapping
 
@@ -91,6 +100,14 @@ class RingElement:
             clean[idx] = c
         self.group = group
         self.coeffs = MappingProxyType(clean)
+
+    @classmethod
+    def _wrap(cls, group: GroupSpec, coeffs: MappingProxyType) -> RingElement:
+        """An element over an already clean read-only mapping, not copied."""
+        element = object.__new__(cls)
+        element.group = group
+        element.coeffs = coeffs
+        return element
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -236,8 +253,9 @@ def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
 
 # Tensor memo: key (p, r, s) with r <= s; the decomposition of
 # V_r (x) V_s depends only on p, never on alpha, because every block is
-# bounded by the p-power envelope of max(r, s).
-_TENSOR_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
+# bounded by the p-power envelope of max(r, s).  Values are read-only
+# mappings, shared with every element ``tensor`` returns for the key.
+_TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,34 +297,49 @@ def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
     """V_r (x) V_s, r <= s, by one level of the digit reduction, with the
     remainders' product V_{r1} (x) V_{s1} = sum a_j V_{b_j} read from the
     memoized engine.  The lone boundary term outside the base-product sums
-    is max(0, r1 - s1) V_{(s0-r0) p^beta}; see docs/discrepancies.md."""
+    is max(0, r1 - s1) V_{(s0-r0) p^beta}; see docs/discrepancies.md.
+
+    Disjoint blocks: every b_j is at most p^beta, and a remainder term with
+    b_j < p^beta lands at shift + b_j or shift + 2i p^beta +- b_j, inside
+    the open interval (shift + k p^beta, shift + (k+1) p^beta) for k = 0,
+    2i - 1 or 2i.  Those intervals are disjoint and hold no multiple of
+    p^beta, so these terms are written without merging and are positive.
+    Only the multiples of p^beta (the c1, spread, boundary and weight terms
+    and a remainder term b_j = p^beta) are summed and pruned of zeros."""
     params = reduction_parameters(p, r, s)
     pb = p**params.beta
     shift = (params.s0 - params.r0) * pb
-    out: dict[int, int] = {}
-
-    def bump(idx: int, c: int) -> None:
-        if idx > 0 and c:
-            out[idx] = out.get(idx, 0) + c
-
-    bump(pb * p, params.c1)
+    steps = [shift + 2 * i * pb for i in range(1, params.d1 + 1)]
     spread = abs(params.r1 - params.s1)
-    for i in range(1, params.d1 + 1):
-        bump(shift + 2 * i * pb, spread)
-    bump(shift, max(0, params.r1 - params.s1))
     weight = pb - params.r1 - params.s1
-    for i in range(1, params.d2 + 1):
-        bump(shift + (2 * i - 1) * pb, weight)
+    grid = [(pb * p, params.c1), (shift, max(0, params.r1 - params.s1))]
+    grid += [(step, spread) for step in steps]
+    grid += [(shift + (2 * i - 1) * pb, weight) for i in range(1, params.d2 + 1)]
+    out: dict[int, int] = {}
     if params.r1 and params.s1:
-        for b_j, a_j in _tensor_coeffs(p, params.r1, params.s1).items():
-            for i in range(1, params.d1 + 1):
-                bump(shift + 2 * i * pb + b_j, a_j)
-                bump(shift + 2 * i * pb - b_j, a_j)
-            bump(shift + b_j, a_j)
-    return {idx: c for idx, c in out.items() if c}
+        rest = _tensor_coeffs(p, params.r1, params.s1)
+        top = rest.get(pb)
+        if top is not None:
+            rest = dict(rest)
+            del rest[pb]
+            grid += [(shift + pb, top)]
+            grid += [(step + sign * pb, top) for step in steps for sign in (1, -1)]
+        for base in [shift] + steps:
+            out.update(zip(map(base.__add__, rest), rest.values()))
+        for base in steps:
+            out.update(zip(map(base.__sub__, rest), rest.values()))
+    summed: dict[int, int] = {}
+    for idx, c in grid:
+        if idx > 0:
+            summed[idx] = summed.get(idx, 0) + c
+    out.update((idx, c) for idx, c in summed.items() if c)
+    return out
 
 
-def _tensor_coeffs(p: int, r: int, s: int) -> dict[int, int]:
+def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
+    """The memoized decomposition of V_r (x) V_s as a shared read-only
+    mapping.  Both checks run on every newly computed entry, as plain ifs
+    that survive ``python -O``."""
     if r > s:
         r, s = s, r
     key = (p, r, s)
@@ -314,20 +347,25 @@ def _tensor_coeffs(p: int, r: int, s: int) -> dict[int, int]:
     if cached is not None:
         return cached
     out = _tensor_reduce(p, r, s)
-    if any(c <= 0 for c in out.values()):
+    if min(out.values(), default=1) <= 0:
         raise VerificationError(f"negative multiplicity at {key}")
-    if sum(i * c for i, c in out.items()) != r * s:
+    if sum(map(operator.mul, out, out.values())) != r * s:
         raise VerificationError(f"dimension lost at {key}")
-    _TENSOR_CACHE[key] = out
-    return out
+    _TENSOR_CACHE[key] = shared = MappingProxyType(out)
+    return shared
 
 
 def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
-    """Exact decomposition of V_r (x) V_s into indecomposables."""
+    """Exact decomposition of V_r (x) V_s into indecomposables.  The
+    result wraps the memo's read-only mapping without copying it."""
     for idx in (r, s):
         if not 1 <= idx <= group.q:
             raise ValueError(f"index {idx} outside 1..{group.q}")
-    return RingElement(group, _tensor_coeffs(group.p, r, s))
+    coeffs = _tensor_coeffs(group.p, r, s)
+    top = max(coeffs)
+    if top > group.q:
+        raise ValueError(f"index {top} exceeds q = {group.q}")
+    return RingElement._wrap(group, coeffs)
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:

@@ -215,6 +215,21 @@ class TestOutFile:
         assert code == 0 and out == ""
         assert target.read_bytes().splitlines()[0] == b"1,0,0,0"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tensor", "--p", "2", "--alpha", "3", "1", "2"),
+            ("matrix", "--p", "2", "--alpha", "2", "--format", "csv"),
+            ("rank", "12", "--p", "5"),
+        ],
+    )
+    def test_missing_directory_is_exit_2(self, run, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(*argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "No such file or directory" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_json(self, run, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("tensor", "--p", "5", "--alpha", "3", "--format", "json",

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenring import core_ring
 from greenring.core_ring import (
     GroupSpec,
     RingElement,
@@ -221,6 +224,66 @@ class TestTensor:
                 assert product == tensor(group, s, r)
                 assert all(c > 0 for c in product.coeffs.values())
                 assert product.dim() == r * s
+
+
+class TestDigitBlocks:
+    """The digit reduction writes remainder terms b_j < p^beta straight
+    into disjoint blocks and merges only multiples of p^beta."""
+
+    @staticmethod
+    def _category(p, r, s):
+        params = reduction_parameters(p, r, s)
+        pb = p**params.beta
+        if params.r1 and params.s1:
+            if pb in jordan_type(p, params.r1, params.s1).multiplicities():
+                return "collision"
+        elif params.r1 == 0:
+            return "r1 = 0"
+        else:
+            return "s1 = 0"
+        if params.r0 == params.s0:
+            return "shift = 0"
+        return None
+
+    @pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (5, 3)])
+    def test_engine_equals_oracle_on_every_branch(self, p, alpha):
+        # the collision category is the only one where remainder terms
+        # (b_j = p^beta) land on multiples of p^beta
+        group = GroupSpec(p, alpha)
+        pairs = [(r, s) for s in range(1, group.q + 1) for r in range(1, s + 1)]
+        random.Random(p).shuffle(pairs)
+        picked = {"collision": [], "r1 = 0": [], "s1 = 0": [], "shift = 0": []}
+        for r, s in pairs:
+            bucket = picked.get(self._category(p, r, s))
+            if bucket is not None and len(bucket) < 15:
+                bucket.append((r, s))
+        for name, bucket in picked.items():
+            assert bucket, f"no pair in category {name} at p = {p}"
+            for r, s in bucket:
+                expected = jordan_type(p, r, s).multiplicities()
+                assert tensor(group, r, s).coeffs == expected, (name, p, r, s)
+
+
+class TestSharedMemoEntry:
+    """tensor wraps the memo's read-only mapping; the checks still run."""
+
+    def test_index_above_q_still_rejected(self, monkeypatch):
+        # {6: 1} for (2, 3) is positive and has dimension 6, so only the
+        # index check can catch it
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_reduce", lambda p, r, s: {6: 1})
+        with pytest.raises(ValueError, match="index 6 exceeds q = 5"):
+            tensor(GroupSpec(5, 1), 2, 3)
+
+    def test_coeffs_reject_assignment(self):
+        product = tensor(G53, 7, 11)
+        with pytest.raises(TypeError):
+            product.coeffs[1] = 5
+
+    def test_warm_calls_agree(self):
+        first, second = tensor(G53, 7, 11), tensor(G53, 11, 7)
+        assert first == second and hash(first) == hash(second)
+        assert first.coeffs is second.coeffs
 
 
 class TestMul:
