@@ -24,7 +24,16 @@ exhaustive sweeps.  See docs/discrepancies.md for the record.
 One reduction writes the remainder terms V_{b_j} with b_j < p^beta into
 disjoint blocks between consecutive multiples of p^beta, so they never
 merge; only the terms on multiples of p^beta are summed (see
-``_tensor_reduce``).
+``_digit_block``, the one home of the rule's grid terms).
+
+The ring product ``mul`` runs the same reduction on whole elements rather
+than pair by pair.  The rule is linear in the remainders' product, so
+for the terms of a and b that share leading digits r0 and s0 at the top
+level it needs only the aggregated remainder product
+(sum c V_{r1}) (sum d V_{s1}), computed once by recursion, and bilinear
+sums over the two sides for the terms on multiples of p^beta; the spread
+|r1 - s1| enters through |x| = 2 max(0, x) - x.  The pair memo is read
+only where one side of such a digit-group pair has a single term.
 
 All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict that stores each entry once, as a read-only
@@ -114,7 +123,7 @@ class RingElement:
 
     def dim(self) -> int:
         """Image under the dimension homomorphism to Z."""
-        return sum(idx * c for idx, c in self.coeffs.items())
+        return sum(map(operator.mul, self.coeffs, self.coeffs.values()))
 
     def top_index(self) -> int:
         """Largest index with nonzero coefficient (0 for the zero element)."""
@@ -277,47 +286,89 @@ class ReductionParameters:
     d2: int
 
 
+def _leading_level(p: int, n: int) -> tuple[int, int]:
+    """(beta, p^beta) for the leading base-p digit of n >= 1."""
+    beta, pb = 0, 1
+    while pb * p <= n:
+        beta, pb = beta + 1, pb * p
+    return beta, pb
+
+
+def _digit_case(p: int, r0: int, s0: int) -> tuple[bool, int, int]:
+    """(carry, d1, d2) for leading digits r0 <= s0: carry is r0 + s0 >= p,
+    and d1, d2 count the step and weight terms of the reduction."""
+    if r0 + s0 < p:
+        return False, r0, r0
+    return True, p - s0 - 1, p - s0
+
+
 def reduction_parameters(p: int, r: int, s: int) -> ReductionParameters:
     """Parameters driving one level of the digit reduction, 1 <= r <= s."""
     if not 1 <= r <= s:
         raise ValueError(f"reduction expects 1 <= r <= s, got r={r}, s={s}")
-    beta, pb = 0, 1
-    while pb * p <= s:
-        beta, pb = beta + 1, pb * p
+    beta, pb = _leading_level(p, s)
     r0, r1 = divmod(r, pb)
     s0, s1 = divmod(s, pb)
-    if r0 + s0 < p:
-        c1, d1, d2 = 0, r0, r0
-    else:
-        c1, d1, d2 = r + s - pb * p, p - s0 - 1, p - s0
+    carry, d1, d2 = _digit_case(p, r0, s0)
+    c1 = r + s - pb * p if carry else 0
     return ReductionParameters(beta, r0, r1, s0, s1, c1, d1, d2)
 
 
-def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
-    """V_r (x) V_s, r <= s, by one level of the digit reduction, with the
-    remainders' product V_{r1} (x) V_{s1} = sum a_j V_{b_j} read from the
-    memoized engine.  The lone boundary term outside the base-product sums
-    is max(0, r1 - s1) V_{(s0-r0) p^beta}; see docs/discrepancies.md.
+def _digit_block(
+    p: int, pb: int, r0: int, s0: int, left, right, rest: Mapping[int, int]
+) -> dict[int, int]:
+    """sum c d V_{r0 p^beta + r1} (x) V_{s0 p^beta + s1} over (r1, c) in
+    left and (s1, d) in right, by one level of the digit reduction at
+    pb = p^beta, with r0 <= s0 and 1 <= s0 < p.  Both sides are sorted by
+    remainder; rest is the remainders' product
+    (sum c V_{r1}) (sum d V_{s1}) = sum a_j V_{b_j}.  A single pair
+    passes one term on each side and the product V_{r1} (x) V_{s1}.
+
+    The rule is linear in each pair's weight w = c d and in the
+    remainders' product, so the grid terms on multiples of p^beta are
+    bilinear sums over the two sides:
+    c1 = sum w((r0+s0-p) p^beta + r1 + s1) at V_{p^(beta+1)} when
+    r0 + s0 >= p; weight = sum w(p^beta - r1 - s1); the boundary term
+    sum w max(0, r1 - s1) at V_{(s0-r0) p^beta} (see docs/discrepancies.md),
+    from running sums over the left side in one merge pass; and
+    spread = sum w |r1 - s1| = 2 boundary - sum w(r1 - s1).
 
     Disjoint blocks: every b_j is at most p^beta, and a remainder term with
     b_j < p^beta lands at shift + b_j or shift + 2i p^beta +- b_j, inside
     the open interval (shift + k p^beta, shift + (k+1) p^beta) for k = 0,
     2i - 1 or 2i.  Those intervals are disjoint and hold no multiple of
-    p^beta, so these terms are written without merging and are positive.
-    Only the multiples of p^beta (the c1, spread, boundary and weight terms
-    and a remainder term b_j = p^beta) are summed and pruned of zeros."""
-    params = reduction_parameters(p, r, s)
-    pb = p**params.beta
-    shift = (params.s0 - params.r0) * pb
-    steps = [shift + 2 * i * pb for i in range(1, params.d1 + 1)]
-    spread = abs(params.r1 - params.s1)
-    weight = pb - params.r1 - params.s1
-    grid = [(pb * p, params.c1), (shift, max(0, params.r1 - params.s1))]
+    p^beta, so these terms are written without merging.  Only the multiples
+    of p^beta (the grid terms and the collision term b_j = p^beta) are
+    summed and pruned of zeros."""
+    carry, d1, d2 = _digit_case(p, r0, s0)
+    total_c = total_cx = 0
+    for x, c in left:
+        total_c += c
+        total_cx += x * c
+    # below_*: the left terms with x <= y, for y ascending
+    total_d = total_dy = boundary = 0
+    k = below_c = below_cx = 0
+    for y, d in right:
+        total_d += d
+        total_dy += y * d
+        while k < len(left) and left[k][0] <= y:
+            below_c += left[k][1]
+            below_cx += left[k][0] * left[k][1]
+            k += 1
+        boundary += d * (total_cx - below_cx - y * (total_c - below_c))
+    sum_w = total_c * total_d
+    sum_wr1 = total_cx * total_d
+    sum_ws1 = total_c * total_dy
+    shift = (s0 - r0) * pb
+    steps = [shift + 2 * i * pb for i in range(1, d1 + 1)]
+    spread = 2 * boundary - sum_wr1 + sum_ws1
+    weight = pb * sum_w - sum_wr1 - sum_ws1
+    c1 = (r0 + s0 - p) * pb * sum_w + sum_wr1 + sum_ws1 if carry else 0
+    grid = [(pb * p, c1), (shift, boundary)]
     grid += [(step, spread) for step in steps]
-    grid += [(shift + (2 * i - 1) * pb, weight) for i in range(1, params.d2 + 1)]
+    grid += [(shift + (2 * i - 1) * pb, weight) for i in range(1, d2 + 1)]
     out: dict[int, int] = {}
-    if params.r1 and params.s1:
-        rest = _tensor_coeffs(p, params.r1, params.s1)
+    if rest:
         top = rest.get(pb)
         if top is not None:
             rest = dict(rest)
@@ -334,6 +385,17 @@ def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
             summed[idx] = summed.get(idx, 0) + c
     out.update((idx, c) for idx, c in summed.items() if c)
     return out
+
+
+def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
+    """V_r (x) V_s, r <= s, by one level of the digit reduction
+    (``_digit_block`` with one term on each side), with the remainders'
+    product V_{r1} (x) V_{s1} read from the memoized engine."""
+    _, pb = _leading_level(p, s)
+    r0, r1 = divmod(r, pb)
+    s0, s1 = divmod(s, pb)
+    rest = _tensor_coeffs(p, r1, s1) if r1 and s1 else {}
+    return _digit_block(p, pb, r0, s0, ((r1, 1),), ((s1, 1),), rest)
 
 
 def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
@@ -368,18 +430,105 @@ def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
     return RingElement._wrap(group, coeffs)
 
 
+def _by_digit(coeffs: Mapping[int, int], pb: int) -> tuple[dict[int, list], list]:
+    """The terms split by leading digit at pb: the groups of two or more
+    terms, as r0 -> [(r1, c), ...] sorted by r1, and the terms alone in
+    their group, as [(r, c), ...]."""
+    groups: dict[int, list] = {}
+    for r, c in sorted(coeffs.items()):
+        groups.setdefault(r // pb, []).append((r, c))
+    multi: dict[int, list] = {}
+    single: list = []
+    for r0, terms in groups.items():
+        if len(terms) == 1:
+            single += terms
+        else:
+            multi[r0] = [(r - r0 * pb, c) for r, c in terms]
+    return multi, single
+
+
+def _add_pairs(out: dict[int, int], p: int, a, b) -> None:
+    """Add sum c d V_r (x) V_s over (r, c) in a and (s, d) in b to out,
+    from the checked, memoized pair decompositions."""
+    for r, c in a:
+        for s, d in b:
+            w = c * d
+            for idx, e in _tensor_coeffs(p, r, s).items():
+                out[idx] = out.get(idx, 0) + w * e
+
+
+def _product(p: int, a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Raw coefficients of the product of two nonzero coefficient maps, by
+    digit groups at the level of their largest index (see ``mul``)."""
+    _, pb = _leading_level(p, max(max(a), max(b)))
+    out: dict[int, int] = {}
+    if len({r // pb for r in a}) == len(a) or len({s // pb for s in b}) == len(b):
+        # one side has a single term in every digit group, so no pair of
+        # groups aggregates and the grouping can be skipped
+        _add_pairs(out, p, a.items(), b.items())
+        return out
+    multi_a, single_a = _by_digit(a, pb)
+    multi_b, single_b = _by_digit(b, pb)
+    _add_pairs(out, p, single_a, b.items())
+    if single_b and multi_a:
+        grouped_a = [(r0 * pb + r1, c) for r0, terms in multi_a.items() for r1, c in terms]
+        _add_pairs(out, p, grouped_a, single_b)
+    for digit_a, terms_a in multi_a.items():
+        for digit_b, terms_b in multi_b.items():
+            if digit_a <= digit_b:
+                r0, s0, left, right = digit_a, digit_b, terms_a, terms_b
+            else:
+                r0, s0, left, right = digit_b, digit_a, terms_b, terms_a
+            if s0 == 0:
+                part = _product(p, dict(left), dict(right))
+            else:
+                low = {r1: c for r1, c in left if r1}
+                high = {s1: d for s1, d in right if s1}
+                rest = _product(p, low, high) if low and high else {}
+                part = _digit_block(p, pb, r0, s0, left, right, rest)
+            for idx, c in part.items():
+                out[idx] = out.get(idx, 0) + c
+    return out
+
+
 def mul(a: RingElement, b: RingElement) -> RingElement:
-    """Ring product: bilinear extension of the tensor decomposition."""
+    """Ring product: bilinear extension of the tensor decomposition,
+    computed one digit group at a time.
+
+    At the level beta of the largest index of a and b, each factor splits
+    by leading digit, A_{r0} = sum c V_{r0 p^beta + r1}.  For a pair of
+    groups (r0, s0), oriented so that r0 <= s0 (the rule is symmetric when
+    r0 = s0), the digit reduction is linear in the remainders' product, so
+    the sum of V_r (x) V_s c d over the pair needs the aggregated product
+    (sum c V_{r1}) (sum d V_{s1}) once, by recursion, and its shifted and
+    mirrored copies; the collision term V_{p^beta} uses the aggregate's
+    coefficient there.  The grid terms on multiples of p^beta are bilinear
+    sums of the weights w = c d against r1 and s1; the boundary sum
+    sum w max(0, r1 - s1) comes from one sort and running sums, and the
+    spread sum w |r1 - s1| from |x| = 2 max(0, x) - x (``_digit_block``).
+    A pair of groups with a single term on either side is summed from the
+    checked, memoized pair decompositions instead; nothing else reads the
+    pair memo.  Two groups both below p^beta recurse as a product at a
+    lower level.
+
+    The result is checked with plain ifs that survive ``python -O``: its
+    dimension must be dim a * dim b, and a product of two modules (all
+    coefficients positive) must have positive coefficients only."""
     if a.group != b.group:
         raise ValueError("elements live over different groups")
-    p = a.group.p
-    out: dict[int, int] = {}
-    for r, cr in a.coeffs.items():
-        for s, cs in b.coeffs.items():
-            w = cr * cs
-            for idx, c in _tensor_coeffs(p, r, s).items():
-                out[idx] = out.get(idx, 0) + w * c
-    return RingElement(a.group, out)
+    out = _product(a.group.p, a.coeffs, b.coeffs) if a.coeffs and b.coeffs else {}
+    product = RingElement(a.group, out)
+    if product.dim() != a.dim() * b.dim():
+        raise VerificationError(
+            f"dimension lost in a product: {product.dim()} != {a.dim()} * {b.dim()}"
+        )
+    if (
+        min(a.coeffs.values(), default=0) > 0
+        and min(b.coeffs.values(), default=0) > 0
+        and min(product.coeffs.values(), default=1) <= 0
+    ):
+        raise VerificationError("negative multiplicity in a product of modules")
+    return product
 
 
 def chi_power(group: GroupSpec, i: int, s: int) -> RingElement:

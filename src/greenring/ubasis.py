@@ -113,8 +113,16 @@ def curly_u(group: GroupSpec, r: int, beta: int) -> tuple[int, ...]:
     return tuple(sorted(digits.split_indices(r, group.p, beta)))
 
 
+# The change of basis is a dense q x q matrix, and its rendering takes about
+# two bytes an entry.  At q = 4096 that is 16.8 M entries, about 32 MiB of
+# csv or pbm and about 300 MB while it is built; q = 2^30 would ask for
+# 10^18 entries, so larger groups are refused before any row is built.
+MAX_MATRIX_ORDER = 4096
+
+
 def change_of_basis(group: GroupSpec, direction: str) -> IntMatrix:
-    """Square change-of-basis matrix over indices 1..q.
+    """Square change-of-basis matrix over indices 1..q, for
+    q <= MAX_MATRIX_ORDER (a larger q raises ValueError).
 
     ``v_to_u``: entry (i, j) is 1 when j lies in the splitting-recursion
     index set of V_i, else 0.
@@ -122,6 +130,11 @@ def change_of_basis(group: GroupSpec, direction: str) -> IntMatrix:
     integer inverse of the other direction.
     """
     q = group.q
+    if q > MAX_MATRIX_ORDER:
+        raise ValueError(
+            f"q = {q} exceeds {MAX_MATRIX_ORDER}: the dense q x q change of "
+            f"basis would have {q * q} entries"
+        )
     key = direction.lower().replace("-", "_")
     if key == "v_to_u":
         coeffs = [

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,15 @@ class TestMatrix:
         assert code == 0
         row12 = out.splitlines()[11].split(",")
         assert row12[11] == "1" and row12[7] == "-1" and row12[1] == "1"
+
+    def test_oversized_group_is_exit_2(self):
+        # q = 2^30 would be a 2^60-entry matrix; it is refused up front
+        start = time.monotonic()
+        done = _run_capped("matrix", "--p", "2", "--alpha", "30")
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
     def test_pbm_rejects_u_to_v(self, run):
         code, _, err = run(

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenring
 from greenring import core_ring
 from greenring.core_ring import (
     GroupSpec,
@@ -20,6 +25,7 @@ from greenring.core_ring import (
     zero,
 )
 from greenring.oracle import jordan_type
+from greenring.ubasis import u_element
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -332,6 +338,148 @@ class TestDimHomomorphism:
     def test_multiplicative_and_additive(self, a, b):
         assert mul(a, b).dim() == a.dim() * b.dim()
         assert (a + b).dim() == a.dim() + b.dim()
+
+
+def _pairwise(a, b):
+    """Cross-check reference for mul: the pairwise sum of
+    c d V_r (x) V_s over the terms of a and b, from the memoized pair
+    decompositions."""
+    out = {}
+    for r, c in a.coeffs.items():
+        for s, d in b.coeffs.items():
+            for idx, e in core_ring._tensor_coeffs(a.group.p, r, s).items():
+                out[idx] = out.get(idx, 0) + c * d * e
+    return RingElement(a.group, out)
+
+
+def _signed(group, min_size=2, max_size=5):
+    coeff = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(
+        st.integers(1, group.q), coeff, min_size=min_size, max_size=max_size
+    ).map(lambda d: RingElement(group, d))
+
+
+def _clustered(group):
+    """Signed elements with two to six terms under one leading digit at
+    level alpha - 1, plus up to six terms anywhere.  A product of two of
+    them runs mul's aggregated branch at that level: at the top level,
+    or, when V_q is present, in the product of the digit-0 groups."""
+    top = group.q // group.p
+    coeff = st.integers(-3, 3).filter(bool)
+    return st.tuples(
+        st.integers(1, group.p - 1),
+        st.dictionaries(st.integers(0, top - 1), coeff, min_size=2, max_size=6),
+        st.dictionaries(st.integers(1, group.q), coeff, max_size=6),
+    ).map(
+        lambda t: RingElement(
+            group, {**t[2], **{t[0] * top + r1: c for r1, c in t[1].items()}}
+        )
+    )
+
+
+class TestMulCrossCheck:
+    """Cross-check: mul's digit-group aggregation against the pairwise sum
+    of pair decompositions."""
+
+    @pytest.mark.parametrize("p,alpha", [(2, 8), (3, 5), (5, 4), (7, 3)])
+    def test_signed_elements(self, p, alpha):
+        group = GroupSpec(p, alpha)
+
+        @given(_clustered(group), _clustered(group))
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        def check(a, b):
+            assert mul(a, b) == _pairwise(a, b)
+
+        check()
+
+    def test_chain_products_of_72_term_u_elements(self):
+        # shaped like the benchmark's products: U_r at (5,5) with r - 1 of
+        # base-5 digits (d0, a, b, c, 2), (a, b, c) a permutation of
+        # (1, 2, 3), each U_r times the next
+        group = GroupSpec(5, 5)
+        digit_rows = [(0, 1, 2, 3), (3, 2, 1, 3), (1, 3, 2, 1), (2, 1, 3, 2)]
+        units = [
+            u_element(group, 1 + sum(d * 5**i for i, d in enumerate((*row, 2))))
+            for row in digit_rows
+        ]
+        assert [len(u.coeffs) for u in units] == [72] * 4
+        for a, b in zip(units, units[1:]):
+            assert mul(a, b) == _pairwise(a, b)
+
+
+class TestMulAlgebra:
+    """Ring laws on signed multi-term elements; they exercise the
+    orientation of digit-group pairs with r0 > s0."""
+
+    @pytest.mark.parametrize("group", [GroupSpec(3, 3), GroupSpec(2, 5)])
+    def test_commutative(self, group):
+        @given(_signed(group), _signed(group))
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        def check(a, b):
+            assert mul(a, b) == mul(b, a)
+
+        check()
+
+    @pytest.mark.parametrize("group", [GroupSpec(3, 3), GroupSpec(2, 5)])
+    def test_associative(self, group):
+        @given(_signed(group), _signed(group), _signed(group, max_size=4))
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(a, b, c):
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+        check()
+
+
+def _run_optimized(script):
+    """Run script in a child interpreter under python -O; its stdout."""
+    src = str(Path(greenring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestMulChecks:
+    """mul checks its product with plain ifs that hold under python -O.
+    The factors are modules whose only digit-group pair (digits 3 and 2
+    at p^beta = 5) has three terms on each side, so the patched grid
+    helper acts on the aggregated branch only; pair entries stay exact."""
+
+    _SCRIPT = (
+        "from greenring import core_ring, digits\n"
+        "block = core_ring._digit_block\n"
+        "def patched(p, pb, r0, s0, left, right, rest):\n"
+        "    out = block(p, pb, r0, s0, left, right, rest)\n"
+        "    if len(left) > 1 and len(right) > 1:\n"
+        "{edit}"
+        "    return out\n"
+        "core_ring._digit_block = patched\n"
+        "G = core_ring.GroupSpec(5, 2)\n"
+        "a = core_ring.RingElement(G, {{16: 1, 17: 2, 18: 1}})\n"
+        "b = core_ring.RingElement(G, {{11: 1, 12: 3, 14: 1}})\n"
+        "try:\n"
+        "    core_ring.mul(a, b)\n"
+        "except digits.VerificationError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def test_lost_term_raises_under_optimize(self):
+        edit = "        del out[max(out)]\n"
+        out = _run_optimized(self._SCRIPT.format(edit=edit))
+        assert out.startswith("dimension lost in a product"), out
+
+    def test_negative_coefficient_raises_under_optimize(self):
+        # moves the top term's dimension onto V_1, leaving -1 V_top
+        edit = (
+            "        top = max(out)\n"
+            "        out[1] = out.get(1, 0) + top * (out[top] + 1)\n"
+            "        out[top] = -1\n"
+        )
+        out = _run_optimized(self._SCRIPT.format(edit=edit))
+        assert out.startswith("negative multiplicity in a product"), out
 
 
 class TestChiPower:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from greenring.core_ring import GroupSpec, RingElement, basis_element
 from greenring.ubasis import (
+    MAX_MATRIX_ORDER,
     IntMatrix,
     change_of_basis,
     cousins,
@@ -182,6 +183,13 @@ class TestChangeOfBasis:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             change_of_basis(G53, "sideways")
+
+    @pytest.mark.parametrize("p,alpha", [(2, 13), (4099, 1), (2, 30)])
+    def test_oversized_group_rejected_before_building(self, p, alpha):
+        group = GroupSpec(p, alpha)
+        assert group.q > MAX_MATRIX_ORDER
+        with pytest.raises(ValueError, match=f"exceeds {MAX_MATRIX_ORDER}"):
+            change_of_basis(group, "v_to_u")
 
 
 class TestRenderMatrix:
