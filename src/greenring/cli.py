@@ -5,11 +5,17 @@ relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
 Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory
 or an I/O error such as an unwritable --out path.
+
+The argument parser is built once per process, at the first ``main`` call,
+and reused by every later call; parsing leaves it unchanged.  Each
+subcommand's ``cmd_*`` handler is bound into it at that first use, so
+replacing a ``cmd_*`` function afterwards does not reach the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,12 +74,18 @@ def cmd_matrix(args) -> int:
 
 
 def _trick_text(cert: digits.TrickCertificate) -> str:
-    parts = []
-    for _, digs, product in sorted(cert.terms, reverse=True):
-        if len(digs) > 1:
-            parts.append("".join(f"({d + 1})" for d in reversed(digs)))
-        else:
-            parts.append(str(product))
+    # Terms ascend in j, so reversing them gives the descending order.  The
+    # "(d+1)" labels come from a table of the base's digits, unless the base
+    # outnumbers the terms (a huge base has few): then each is formatted.
+    if cert.base <= len(cert.terms):
+        label = [f"({d + 1})" for d in range(cert.base)].__getitem__
+    else:
+        def label(d):
+            return f"({d + 1})"
+    parts = [
+        "".join(map(label, reversed(digs))) if len(digs) > 1 else str(product)
+        for _, digs, product in reversed(cert.terms)
+    ]
     return f"{cert.n} = " + " + ".join(parts) + "\n"
 
 
@@ -131,6 +143,7 @@ def cmd_relations(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greenring",

@@ -15,7 +15,6 @@ package, so the engine-free oracle can share them.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 __all__ = [
     "VerificationError",
@@ -25,6 +24,7 @@ __all__ = [
     "to_digits",
     "trick_set",
     "trick_certificate",
+    "MAX_INDEX_SET",
 ]
 
 
@@ -106,26 +106,44 @@ def to_digits(n: int, base: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def split_indices(r: int, base: int, level: int) -> frozenset[int]:
-    """Index set of the level-by-level splitting recursion.
+# Index sets are capped so that no input can run until it is killed: |J|
+# grows like a Fibonacci number in alternating binary digits (2,584 terms at
+# n = 87,381, and beyond any memory at n = 6148914691236517205), and the
+# cousins of n number 2^(nonzero non-leading digits).  The cap admits every
+# cousin set of n <= 10^6 (at most 2^18, in base 2), every trick set of
+# n <= 100,000 in bases 2..10 (at most 2,584) and every index set of a group
+# with q <= 4096 (a subset of 1..q).
+MAX_INDEX_SET = 2**18
 
-    At level 0 the set is {r}.  At level beta write r = m b^beta + j with
-    0 <= j < b^beta; when b does not divide m and j != 0, descend into both
-    m b^beta + j and m b^beta - j, otherwise descend into r unchanged.
-    The j = 0 case takes the single branch: the split would duplicate r.
+
+def split_indices(r: int, base: int, level: int) -> frozenset[int]:
+    """Index set of the splitting recursion, walked level by level.
+
+    The walk starts from [r] at level ``level`` and goes down to level 1.
+    At level beta each index x = m b^beta + j with 0 <= j < b^beta stays,
+    and when b does not divide m and j != 0 it also gains the partner
+    m b^beta - j; at level 0 the list holds the set.  The j = 0 case takes
+    the single branch: the split would duplicate x.  Two branches reaching
+    one index raise ``VerificationError`` (one length check on the final
+    list catches every such duplicate); a list longer than
+    ``MAX_INDEX_SET`` raises ``ValueError`` at the level it appears.
     """
-    if level == 0:
-        return frozenset((r,))
-    step = base**level
-    m, j = divmod(r, step)
-    if m % base != 0 and j != 0:
-        upper = split_indices(r, base, level - 1)
-        lower = split_indices(m * step - j, base, level - 1)
-        joint = upper & lower
-        if joint:
-            raise VerificationError(f"splitting produced duplicates {sorted(joint)}")
-        return upper | lower
-    return split_indices(r, base, level - 1)
+    indices = [r]
+    for beta in range(level, 0, -1):
+        step = base**beta
+        for x in indices[:]:
+            m, j = divmod(x, step)
+            if m % base and j:
+                indices.append(m * step - j)
+        if len(indices) > MAX_INDEX_SET:
+            raise ValueError(
+                f"the index set of {r} in base {base} exceeds {MAX_INDEX_SET} "
+                f"entries at level {beta}"
+            )
+    out = frozenset(indices)
+    if len(out) != len(indices):
+        raise VerificationError(f"splitting produced duplicates for {r} in base {base}")
+    return out
 
 
 def trick_set(n: int, base: int) -> frozenset[int]:
@@ -167,14 +185,21 @@ class TrickCertificate:
 
 def trick_certificate(n: int, base: int) -> TrickCertificate:
     """Build and verify the certificate; a sum mismatch raises rather than
-    returning a bad witness (it would mean the recursion is misread)."""
+    returning a bad witness (it would mean the recursion is misread).
+
+    One pass per index expands j - 1 into its digits and multiplies their
+    successors; the base was checked once by ``trick_set``."""
     indices = sorted(trick_set(n, base))
     terms = []
+    total = 0
     for j in indices:
-        digits = to_digits(j - 1, base)
-        product = math.prod(d + 1 for d in digits)
-        terms.append((j, digits, product))
-    total = sum(product for _, _, product in terms)
+        x, digits, product = j - 1, [], 1
+        while x:
+            x, d = divmod(x, base)
+            digits.append(d)
+            product *= d + 1
+        terms.append((j, tuple(digits), product))
+        total += product
     if total != n:
         raise VerificationError(
             f"digit identity failed for n={n} base={base}: got {total}"

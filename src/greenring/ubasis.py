@@ -71,6 +71,8 @@ def u_element(group: GroupSpec, r: int) -> RingElement:
 
 def cousins(n: int, base: int) -> frozenset[int]:
     """All sign choices on the non-leading digits of the base-b expansion.
+    There are exactly 2^(nonzero non-leading digits) of them; more than
+    ``digits.MAX_INDEX_SET`` raises ``ValueError`` before any is built.
 
     >>> sorted(cousins(63, 5))
     [37, 43, 57, 63]
@@ -80,6 +82,11 @@ def cousins(n: int, base: int) -> frozenset[int]:
     digs = digits.to_digits(n, base)
     if not digs:
         return frozenset((0,))
+    size = 2 ** sum(1 for d in digs[:-1] if d)
+    if size > digits.MAX_INDEX_SET:
+        raise ValueError(
+            f"{n} has {size} cousins in base {base}, more than {digits.MAX_INDEX_SET}"
+        )
     values = {digs[-1] * base ** (len(digs) - 1)}
     for i in range(len(digs) - 1):
         term = digs[i] * base**i

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import greenring
-from greenring import core_ring
+from greenring import cli, core_ring
 from greenring.cli import main
 
 
@@ -278,3 +279,127 @@ class TestVerificationFailure:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stdout) == (0, "raised\n"), done.stderr
+
+
+# Index sets of these inputs would outgrow memory: |J| of the alternating
+# binary number grows like a Fibonacci number, and the 40-digit number has
+# 2^39 cousins.  Both stop at digits.MAX_INDEX_SET.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trick", "6148914691236517205", "--base", "2"),
+        ("cousins", "1" * 40),
+    ],
+)
+def test_oversized_index_set_is_exit_2(argv):
+    start = time.monotonic()
+    done = _run_capped(*argv)
+    assert time.monotonic() - start < 30
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
+def _fresh_children(commands):
+    """(exit code, stdout bytes, stderr bytes) of one fresh
+    ``python -m greenring.cli`` per command, at 80 columns, four at a time."""
+    src = str(Path(greenring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+
+    def child(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "greenring.cli", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    with concurrent.futures.ThreadPoolExecutor(4) as pool:
+        return list(pool.map(child, commands))
+
+
+@pytest.fixture
+def run_in_process(capsysbinary, monkeypatch):
+    """``main`` in this process at 80 columns; SystemExit becomes its code."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def invoke(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsysbinary.readouterr()
+        return code, captured.out, captured.err
+
+    return invoke
+
+
+class TestParserReuse:
+    """The parser is built once per process; every call reuses it, and
+    the output is the same as a fresh process gives."""
+
+    COMMANDS = [
+        ("tensor", "--p", "5", "--alpha", "3", "2", "11"),
+        ("ubasis", "--p", "5", "--alpha", "3", "12"),
+        ("cousins", "63", "--base", "5"),
+        ("matrix", "--p", "3", "--alpha", "2", "--format", "text"),
+        ("matrix", "--p", "3", "--alpha", "2", "--direction", "u-to-v"),
+        ("trick", "62", "--base", "5"),
+        ("rank", "12", "--p", "2"),
+        ("verify", "--p", "2", "--alpha", "2"),
+        ("relations", "--p", "3", "--alpha", "2"),
+    ]
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_every_subcommand_matches_a_fresh_process(self, run_in_process):
+        commands = self.COMMANDS + [
+            (*argv, "--format", "json")
+            for argv in self.COMMANDS
+            if argv[0] != "matrix"
+        ]
+        got = [run_in_process(argv) for argv in commands]
+        assert got == _fresh_children(commands)
+        assert all(code == 0 for code, _, _ in got)
+
+    def test_usage_error_then_valid_call(self, run_in_process):
+        code, out, err = run_in_process(["tensor", "--p", "5", "2"])
+        assert (code, out) == (2, b"")
+        assert b"arguments are required: s, --alpha" in err
+        code, out, err = run_in_process(["trick", "62", "--base", "5", "--format", "bogus"])
+        assert (code, out) == (2, b"")
+        assert b"invalid choice" in err
+        code, out, _ = run_in_process(["tensor", "--p", "5", "--alpha", "3", "2", "11"])
+        assert (code, out) == (0, b"V12 + V10\n")
+        code, out, _ = run_in_process(["trick", "62", "--base", "5"])
+        assert (code, out) == (0, b"62 = (3)(3)(2) + (3)(2)(3) + (2)(3)(3) + (2)(2)(2)\n")
+
+    def test_threads_share_the_parser(self):
+        argvs = [cmd for argv in self.COMMANDS for cmd in (argv, (*argv, "--out", "x"))]
+        parser = cli._build_parser()
+        want = [vars(parser.parse_args(list(argv))) for argv in argvs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                futures = [
+                    pool.submit(lambda: [vars(parser.parse_args(list(a))) for a in argvs])
+                    for _ in range(16)
+                ]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 16
+        assert cli._build_parser() is parser
+
+    def test_help_matches_a_fresh_process(self, run_in_process):
+        commands = [("--help",)] + [
+            (name, "--help")
+            for name in (
+                "tensor", "ubasis", "cousins", "matrix", "trick", "rank",
+                "verify", "relations",
+            )
+        ]
+        got = [run_in_process(argv) for argv in commands]
+        assert got == _fresh_children(commands)
+        assert all(code == 0 and out.startswith(b"usage: greenring") for code, out, _ in got)

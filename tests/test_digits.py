@@ -5,15 +5,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenring import digits
 from greenring.core_ring import GroupSpec
 from greenring.digits import (
+    MAX_INDEX_SET,
+    VerificationError,
     is_prime,
     prime_factors,
+    split_indices,
     to_digits,
     trick_certificate,
     trick_set,
 )
-from greenring.ubasis import v_in_u
+from greenring.ubasis import MAX_MATRIX_ORDER, cousins, curly_u, v_in_u
 
 
 class TestToDigits:
@@ -125,3 +129,58 @@ class TestTrickCertificate:
     def test_identity_holds(self, n, base):
         cert = trick_certificate(n, base)
         assert sum(product for _, _, product in cert.terms) == n
+
+
+def _split_recursive(r, base, level):
+    """Cross-check of the level-by-level ``split_indices``: the splitting
+    recursion in recursive form, one disjointness check and one frozenset
+    union per split."""
+    if level == 0:
+        return frozenset((r,))
+    step = base**level
+    m, j = divmod(r, step)
+    if m % base != 0 and j != 0:
+        upper = _split_recursive(r, base, level - 1)
+        lower = _split_recursive(m * step - j, base, level - 1)
+        if upper & lower:
+            raise VerificationError(f"splitting produced duplicates {sorted(upper & lower)}")
+        return upper | lower
+    return _split_recursive(r, base, level - 1)
+
+
+class TestSplitIndices:
+    def test_cross_check_trick_sets_against_recursion(self):
+        for base in (2, 3, 5, 7, 10):
+            level = 1
+            for n in range(1, 3001):
+                while base**level <= n:
+                    level += 1
+                assert trick_set(n, base) == _split_recursive(n, base, level), (n, base)
+
+    @pytest.mark.parametrize("p,alpha", [(2, 7), (3, 5), (5, 4)])
+    def test_cross_check_curly_u_against_recursion(self, p, alpha):
+        group = GroupSpec(p, alpha)
+        for r in range(1, group.q + 1):
+            for beta in range(alpha + 1):
+                want = tuple(sorted(_split_recursive(r, p, beta)))
+                assert curly_u(group, r, beta) == want, (p, r, beta)
+
+    def test_level_zero_is_the_index(self):
+        assert split_indices(62, 5, 0) == frozenset({62})
+
+    def test_alternating_binary_grows_like_fibonacci(self):
+        # 87381 = 0b10101010101010101: |J| is the Fibonacci number F(18)
+        assert len(trick_set(87381, 2)) == 2584
+
+    def test_cap_admits_small_groups_and_cousins_below_a_million(self):
+        assert MAX_INDEX_SET >= MAX_MATRIX_ORDER
+        assert len(cousins(2**19 - 1, 2)) == 2**18
+
+    def test_oversized_sets_raise_value_error(self, monkeypatch):
+        monkeypatch.setattr(digits, "MAX_INDEX_SET", 2000)
+        with pytest.raises(ValueError, match="exceeds 2000 entries"):
+            trick_set(87381, 2)
+        assert len(trick_set(21845, 2)) == 987  # 0b101010101010101
+        with pytest.raises(ValueError, match="2048 cousins"):
+            cousins(2**12 - 1, 2)
+        assert len(cousins(2**11 - 1, 2)) == 1024
