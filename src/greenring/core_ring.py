@@ -57,7 +57,6 @@ from .digits import VerificationError, is_prime
 __all__ = [
     "GroupSpec",
     "RingElement",
-    "ReductionParameters",
     "zero",
     "one",
     "basis_element",
@@ -67,7 +66,6 @@ __all__ = [
     "mul",
     "chi_power",
     "induce",
-    "reduction_parameters",
 ]
 
 
@@ -267,25 +265,6 @@ def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
 _TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
 
 
-@dataclasses.dataclass(frozen=True)
-class ReductionParameters:
-    """Digit data for the level-beta reduction of V_r (x) V_s, r <= s.
-
-    beta is the level of the leading base-p digit of s, so
-    s = s0 p^beta + s1 with 1 <= s0 < p, r = r0 p^beta + r1, and
-    0 <= r1, s1 < p^beta; c1, d1, d2 switch on r0 + s0 against p.
-    """
-
-    beta: int
-    r0: int
-    r1: int
-    s0: int
-    s1: int
-    c1: int
-    d1: int
-    d2: int
-
-
 def _leading_level(p: int, n: int) -> tuple[int, int]:
     """(beta, p^beta) for the leading base-p digit of n >= 1."""
     beta, pb = 0, 1
@@ -300,18 +279,6 @@ def _digit_case(p: int, r0: int, s0: int) -> tuple[bool, int, int]:
     if r0 + s0 < p:
         return False, r0, r0
     return True, p - s0 - 1, p - s0
-
-
-def reduction_parameters(p: int, r: int, s: int) -> ReductionParameters:
-    """Parameters driving one level of the digit reduction, 1 <= r <= s."""
-    if not 1 <= r <= s:
-        raise ValueError(f"reduction expects 1 <= r <= s, got r={r}, s={s}")
-    beta, pb = _leading_level(p, s)
-    r0, r1 = divmod(r, pb)
-    s0, s1 = divmod(s, pb)
-    carry, d1, d2 = _digit_case(p, r0, s0)
-    c1 = r + s - pb * p if carry else 0
-    return ReductionParameters(beta, r0, r1, s0, s1, c1, d1, d2)
 
 
 def _digit_block(

@@ -33,19 +33,24 @@ class VerificationError(Exception):
     input.  The command line reports it with exit status 1."""
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n in ascending order, by trial division;
-    empty for n <= 1."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+def prime_factors(n: int, limit: int | None = None) -> dict[int, int]:
+    """The factorization of n as {prime: exponent}, primes ascending (so
+    iterating it gives the distinct primes), by trial division; empty for
+    n <= 1.  With a limit, trial division stops past it and a prime factor
+    above the limit raises ``ValueError``, so no n costs more than limit
+    divisions."""
+    out: dict[int, int] = {}
+    top = n if limit is None else limit
+    rest, d = n, 2
+    while d * d <= rest and d <= top:
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
         d += 1
-    if n > 1:
-        out.append(n)
+    if rest > top:
+        raise ValueError(f"{n} has a prime factor above {limit}")
+    if rest > 1:
+        out[rest] = 1
     return out
 
 

@@ -10,6 +10,12 @@ i = j mod m/l.  Ranks and torsion are read off Smith normal forms
 computed in exact integer arithmetic; the headline check is that the
 quotient rank always equals the Euler totient, whichever characteristic
 is chosen.
+
+Every lattice row is sparse from construction to Smith form: a tuple of
+(column, value) pairs over its nonzero entries, columns ascending.  A
+prime-power factor l^k of the coprime part holds l^k nonzero entries in
+all, and ``rank_report`` refuses a factor order above ``MAX_FACTOR_ORDER``
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
-import itertools
 
 from .core_ring import GroupSpec, mul
 from .digits import VerificationError, is_prime, prime_factors
@@ -36,6 +41,7 @@ __all__ = [
     "principal_generation_check",
     "euler_phi",
     "cyclotomic",
+    "MAX_FACTOR_ORDER",
 ]
 
 
@@ -66,16 +72,20 @@ def cyclotomic(n: int) -> IntPolynomial:
 
 @dataclasses.dataclass(frozen=True)
 class LatticeBasis:
-    """Z-span of integer vectors inside a fixed free module Z^ambient_rank."""
+    """Z-span of integer vectors inside a fixed free module Z^ambient_rank.
+
+    Each generator is a tuple of (column, value) pairs over its nonzero
+    entries, in ascending column order; a column outside
+    0..ambient_rank-1 raises ``ValueError``.  The lattices ``rank_report``
+    builds are at most ``MAX_FACTOR_ORDER`` wide.
+    """
 
     ambient_rank: int
-    generators: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(map(int, g)) for g in self.generators)
-        if any(len(g) != self.ambient_rank for g in gens):
-            raise ValueError("generator length differs from ambient rank")
-        object.__setattr__(self, "generators", gens)
+        if any(not 0 <= j < self.ambient_rank for g in self.generators for j, _ in g):
+            raise ValueError("generator column outside the ambient rank")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,27 +119,21 @@ def induced_ideal_q(group: GroupSpec) -> LatticeBasis:
     """The induced ideal for the p-group: standard vectors at the indices
     divisible by p, in the V-basis of rank q."""
     q, p = group.q, group.p
-    gens = []
-    for idx in range(p, q + 1, p):
-        vec = [0] * q
-        vec[idx - 1] = 1
-        gens.append(tuple(vec))
-    return LatticeBasis(q, tuple(gens))
+    return LatticeBasis(q, tuple(((idx - 1, 1),) for idx in range(p, q + 1, p)))
 
 
 def semisimple_ideal(m: int) -> LatticeBasis:
     """Induced-character span for C_m on the basis Y^0..Y^(m-1); the model
-    Z[Y]/(Y^m - 1) assumes the field holds the m-th roots of unity."""
+    Z[Y]/(Y^m - 1) assumes the field holds the m-th roots of unity.  Each
+    prime l dividing m gives m/l rows of l ones, each a tuple of
+    (column, 1) pairs, so a prime power m = l^k holds m nonzero entries
+    (``rank_report`` caps m at ``MAX_FACTOR_ORDER``)."""
     if m < 1:
         raise ValueError("order must be at least 1")
     gens = []
     for ell in prime_factors(m):
         d = m // ell
-        for j in range(d):
-            vec = [0] * m
-            for i in range(j, m, d):
-                vec[i] = 1
-            gens.append(tuple(vec))
+        gens += (tuple((i, 1) for i in range(j, m, d)) for j in range(d))
     return LatticeBasis(m, tuple(gens))
 
 
@@ -137,22 +141,15 @@ def ideal_lattice(spec: CyclicGroupSpec) -> LatticeBasis:
     """Combined induced ideal for C_n = C_m x C_q on the product basis;
     coordinate i*q + j holds Y^i tensor V_{j+1}.  The n-wide cross-check
     of ``rank_report``'s factor-by-factor route; only tests build it."""
-    m, q, p, n = spec.m, spec.q, spec.p, spec.n
-    gens = []
-    for sv in semisimple_ideal(m).generators:
-        for j in range(q):
-            vec = [0] * n
-            for i in range(m):
-                if sv[i]:
-                    vec[i * q + j] = sv[i]
-            gens.append(tuple(vec))
+    m, q, p = spec.m, spec.q, spec.p
+    gens = [
+        tuple((i * q + j, v) for i, v in sv)
+        for sv in semisimple_ideal(m).generators
+        for j in range(q)
+    ]
     if spec.alpha >= 1:
-        for idx in range(p, q + 1, p):
-            for i in range(m):
-                vec = [0] * n
-                vec[i * q + (idx - 1)] = 1
-                gens.append(tuple(vec))
-    return LatticeBasis(n, tuple(gens))
+        gens += (((i * q + idx - 1, 1),) for idx in range(p, q + 1, p) for i in range(m))
+    return LatticeBasis(spec.n, tuple(gens))
 
 
 def _smith_dense(mat: list[list[int]]) -> list[int]:
@@ -239,7 +236,8 @@ def _row_score(row: dict[int, int], cols: dict[int, set[int]]):
 
 
 def _invariant_factors(vectors) -> list[int]:
-    """Nonzero invariant factors of the span of integer vectors.
+    """Nonzero invariant factors of the span of sparse integer rows, each
+    an iterable of (column, nonzero value) pairs.
 
     Sparse phase first: repeatedly pivot on a +-1 entry chosen by
     Markowitz's rule, the least (len(row) - 1) * (count(col) - 1), which
@@ -258,7 +256,7 @@ def _invariant_factors(vectors) -> list[int]:
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for vec in vectors:
-        row = {j: int(vec[j]) for j in itertools.compress(range(len(vec)), vec)}
+        row = dict(vec)
         if row:
             rid = len(rows)
             rows[rid] = row
@@ -330,9 +328,17 @@ def invariant_factors(basis: LatticeBasis) -> tuple[int, ...]:
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, d_1 | d_2 | ..., zeros included
     up to min(rows, cols)."""
-    factors = _invariant_factors(mat.entries)
+    factors = _invariant_factors(
+        [(j, v) for j, v in enumerate(row) if v] for row in mat.entries
+    )
     width = min(mat.rows, mat.cols)
     return tuple(factors) + (0,) * (width - len(factors))
+
+
+# A factor of order l^k is one sparse lattice with l^k nonzero entries:
+# rank 2^20 --p 3 peaks near 700 MB.  Factoring stops at the cap too, so
+# refusing a huge prime factor costs at most 2^20 trial divisions.
+MAX_FACTOR_ORDER = 2**20
 
 
 def rank_report(spec: CyclicGroupSpec) -> dict:
@@ -344,10 +350,14 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
     right exact, so the quotient is the tensor product of the factors'
     quotients: one small Smith form per factor, ranks multiplied.  The
     all-unit invariant factors need torsion-free factors: checked, not assumed.
+    A factor order (each l^k of m, and q) above ``MAX_FACTOR_ORDER`` raises
+    ``ValueError`` before any lattice is built.
     """
-    factors = [
-        semisimple_ideal(CyclicGroupSpec(spec.m, ell).q) for ell in prime_factors(spec.m)
-    ]
+    orders = [ell**k for ell, k in prime_factors(spec.m, MAX_FACTOR_ORDER).items()]
+    for order in orders + [spec.q]:
+        if order > MAX_FACTOR_ORDER:
+            raise ValueError(f"a factor of order {order} exceeds {MAX_FACTOR_ORDER}")
+    factors = [semisimple_ideal(order) for order in orders]
     if spec.alpha >= 1:
         factors.append(induced_ideal_q(GroupSpec(spec.p, spec.alpha)))
     quotient_rank = 1
@@ -383,9 +393,6 @@ def principal_generation_check(group: GroupSpec) -> bool:
         product = mul(u_element(group, (m_idx - 1) * p + 1), u_p)
         if any(i % p for i in product.coeffs):
             return False
-        vec = [0] * k
-        for i, c in product.coeffs.items():
-            vec[i // p - 1] = c
-        vectors.append(tuple(vec))
+        vectors.append(sorted((i // p - 1, c) for i, c in product.coeffs.items()))
     factors = _invariant_factors(vectors)
     return len(factors) == k and all(f == 1 for f in factors)

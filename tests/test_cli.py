@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import greenring
-from greenring import cli, core_ring
+from greenring import cli, core_ring, ideals
 from greenring.cli import main
 
 
@@ -204,6 +204,32 @@ class TestRankVerifyRelations:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
+
+    def test_rank_reach_65536(self):
+        # one 2^16-wide factor: sparse rows keep it linear in the factor
+        done = _run_capped("rank", "65536", "--p", "3")
+        assert (done.returncode, done.stdout) == (0, "quotient_rank 32768, phi 32768\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("rank", "2097152", "--p", "3"), ("rank", "1000000000000000003", "--p", "2")],
+    )
+    def test_rank_factor_above_cap_is_exit_2(self, argv):
+        # a 2^21 factor, and a prime n whose factoring stops at the cap
+        start = time.monotonic()
+        done = _run_capped(*argv)
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
+    def test_memory_error_is_exit_2(self, run, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(ideals, "rank_report", exhausted)
+        code, out, err = run("rank", "12", "--p", "2")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_relations_text(self, run):
         code, out, _ = run("relations", "--p", "5", "--alpha", "3")

@@ -20,7 +20,6 @@ from greenring.core_ring import (
     mul,
     mul_chi_V,
     one,
-    reduction_parameters,
     tensor,
     zero,
 )
@@ -238,16 +237,17 @@ class TestDigitBlocks:
 
     @staticmethod
     def _category(p, r, s):
-        params = reduction_parameters(p, r, s)
-        pb = p**params.beta
-        if params.r1 and params.s1:
-            if pb in jordan_type(p, params.r1, params.s1).multiplicities():
+        _, pb = core_ring._leading_level(p, s)
+        r0, r1 = divmod(r, pb)
+        s0, s1 = divmod(s, pb)
+        if r1 and s1:
+            if pb in jordan_type(p, r1, s1).multiplicities():
                 return "collision"
-        elif params.r1 == 0:
+        elif r1 == 0:
             return "r1 = 0"
         else:
             return "s1 = 0"
-        if params.r0 == params.s0:
+        if r0 == s0:
             return "shift = 0"
         return None
 
@@ -534,6 +534,9 @@ class TestInduce:
 
 
 class TestReductionParameters:
+    """The leading-level split and digit case that drive one level of the
+    reduction of V_r (x) V_s, r <= s."""
+
     @pytest.mark.parametrize(
         "p,r,s",
         [
@@ -542,20 +545,22 @@ class TestReductionParameters:
         ],
     )
     def test_case_split(self, p, r, s):
-        params = reduction_parameters(p, r, s)
-        pb = p**params.beta
-        assert pb <= s < pb * p and 1 <= params.s0 < p
-        assert r == params.r0 * pb + params.r1 and 0 <= params.r1 < pb
-        assert s == params.s0 * pb + params.s1 and 0 <= params.s1 < pb
-        if params.r0 + params.s0 < p:
-            assert params.c1 == 0
-            assert params.d1 == params.r0
-            assert params.d2 == params.r0
+        beta, pb = core_ring._leading_level(p, s)
+        assert pb == p**beta
+        r0, r1 = divmod(r, pb)
+        s0, s1 = divmod(s, pb)
+        assert pb <= s < pb * p and 1 <= s0 < p
+        assert r == r0 * pb + r1 and 0 <= r1 < pb
+        assert s == s0 * pb + s1 and 0 <= s1 < pb
+        carry, d1, d2 = core_ring._digit_case(p, r0, s0)
+        if r0 + s0 < p:
+            assert not carry
+            assert d1 == r0
+            assert d2 == r0
         else:
-            assert params.c1 == r + s - pb * p
-            assert params.d1 == p - params.s0 - 1
-            assert params.d2 == p - params.s0
-
-    def test_rejects_unordered_pair(self):
-        with pytest.raises(ValueError):
-            reduction_parameters(5, 25, 3)
+            assert carry
+            # the carry term: c1 = r + s - p^(beta+1) copies of V_{p^(beta+1)}
+            product = tensor(GroupSpec(p, beta + 1), r, s)
+            assert product.coeffs.get(pb * p, 0) == r + s - pb * p
+            assert d1 == p - s0 - 1
+            assert d2 == p - s0

@@ -47,7 +47,23 @@ class TestPrimes:
     def test_against_sympy(self):
         assert all(is_prime(n) == sympy.isprime(n) for n in range(-2, 100_001))
         for n in range(1, 2001):
-            assert prime_factors(n) == sorted(sympy.factorint(n)), n
+            assert list(prime_factors(n).items()) == sorted(sympy.factorint(n).items()), n
+
+    @pytest.mark.parametrize(
+        "n,factors",
+        [(2**20 * 3, {2: 20, 3: 1}), (1048573, {1048573: 1}), (1009 * 1013, {1009: 1, 1013: 1})],
+    )
+    def test_limit_admits_factors_up_to_it(self, n, factors):
+        assert prime_factors(n, 2**20) == factors
+
+    @pytest.mark.parametrize(
+        "n", [1000000000000000003, 999999000001, 1048583, 3 * 1048583, 1048583**2]
+    )
+    def test_limit_refuses_a_larger_prime_factor(self, n):
+        # trial division stops at the limit, so even 10^18 + 3 (prime)
+        # is refused after at most 2^20 divisions
+        with pytest.raises(ValueError):
+            prime_factors(n, 2**20)
 
     def test_small_factor_rejects_at_once(self):
         # 2^61 - 1 is prime: dividing it out by trial would take minutes

@@ -68,8 +68,9 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix(((2, 0), (0, 4)))) == (2, 4)
 
     def test_semisimple_m4(self):
-        mat = IntMatrix(semisimple_ideal(4).generators)
-        assert smith_normal_form(mat) == (1, 1)
+        gens = semisimple_ideal(4).generators
+        rows = tuple(tuple(dict(g).get(j, 0) for j in range(4)) for g in gens)
+        assert smith_normal_form(IntMatrix(rows)) == (1, 1)
 
     def test_zero_matrix(self):
         assert smith_normal_form(IntMatrix(((0, 0), (0, 0)))) == (0, 0)
@@ -118,21 +119,22 @@ class TestSmithNormalForm:
         # against the dense routine alone.  The weights towards 0 and +-1
         # make pivots, fill-in and a dense remainder all occur.
         dense = [d for d in _smith_dense([list(r) for r in rows]) if d]
-        assert _invariant_factors([tuple(r) for r in rows]) == dense
+        sparse = [[(j, v) for j, v in enumerate(r) if v] for r in rows]
+        assert _invariant_factors(sparse) == dense
 
 
 class TestInducedIdealQ:
     def test_p3_alpha1(self):
         basis = induced_ideal_q(GroupSpec(3, 1))
-        assert basis.generators == ((0, 0, 1),)
+        assert basis.generators == (((2, 1),),)
 
     def test_p3_alpha2(self):
         basis = induced_ideal_q(GroupSpec(3, 2))
-        assert [g.index(1) + 1 for g in basis.generators] == [3, 6, 9]
+        assert basis.generators == tuple(((i - 1, 1),) for i in (3, 6, 9))
 
     def test_p2_alpha3(self):
         basis = induced_ideal_q(GroupSpec(2, 3))
-        assert [g.index(1) + 1 for g in basis.generators] == [2, 4, 6, 8]
+        assert basis.generators == tuple(((i - 1, 1),) for i in (2, 4, 6, 8))
         assert len(invariant_factors(basis)) == 4
 
     @pytest.mark.parametrize(
@@ -153,10 +155,10 @@ class TestSemisimpleIdeal:
         assert semisimple_ideal(1).generators == ()
 
     def test_prime_gives_all_ones(self):
-        assert semisimple_ideal(7).generators == ((1,) * 7,)
+        assert semisimple_ideal(7).generators == (tuple((i, 1) for i in range(7)),)
 
     def test_m4(self):
-        assert semisimple_ideal(4).generators == ((1, 0, 1, 0), (0, 1, 0, 1))
+        assert semisimple_ideal(4).generators == (((0, 1), (2, 1)), ((1, 1), (3, 1)))
 
     @pytest.mark.parametrize("m", list(range(1, 61)))
     def test_quotient_rank_and_freeness(self, m):
@@ -171,10 +173,17 @@ class TestZRank:
         assert len(invariant_factors(LatticeBasis(5, ()))) == 0
 
     def test_standard_basis(self):
-        assert len(invariant_factors(LatticeBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))) == 3
+        basis = LatticeBasis(3, (((0, 1),), ((1, 1),), ((2, 1),)))
+        assert len(invariant_factors(basis)) == 3
 
     def test_dependent_rows(self):
-        assert len(invariant_factors(LatticeBasis(3, ((1, 2, 3), (2, 4, 6))))) == 1
+        basis = LatticeBasis(3, (((0, 1), (1, 2), (2, 3)), ((0, 2), (1, 4), (2, 6))))
+        assert len(invariant_factors(basis)) == 1
+
+    @pytest.mark.parametrize("column", [-1, 3])
+    def test_rejects_column_outside_ambient_rank(self, column):
+        with pytest.raises(ValueError):
+            LatticeBasis(3, (((0, 1),), ((column, 1),)))
 
 
 class TestPrincipalGeneration:
