@@ -36,11 +36,14 @@ sums over the two sides for the terms on multiples of p^beta; the spread
 only where one side of such a digit-group pair has a single term.
 
 All operations are pure functions on immutable values.  The tensor memo
-table is a read-mostly dict that stores each entry once, as a read-only
-mapping checked for positivity and dimension when it is computed;
-``tensor`` returns elements that share that mapping without copying it.
-CPython dict operations are atomic under the GIL and recomputing an entry
-is harmless, so no locking is used.
+table is a read-mostly dict.  It keeps every pair a caller asks for
+(``tensor``, and the pair reads of ``mul``), each once, as a read-only
+mapping that ``tensor`` returns without copying.  An interior pair of a
+digit chain, the remainders' product that ``_tensor_reduce`` reads, is
+kept only up to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one
+is computed, used and dropped.  Every computed entry, kept or not, is
+checked for positivity and dimension.  CPython dict operations are atomic
+under the GIL and recomputing an entry is harmless, so no locking is used.
 """
 
 from __future__ import annotations
@@ -262,7 +265,15 @@ def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
 # V_r (x) V_s depends only on p, never on alpha, because every block is
 # bounded by the p-power envelope of max(r, s).  Values are read-only
 # mappings, shared with every element ``tensor`` returns for the key.
+# Every pair a caller asks for is stored; an interior pair of a digit
+# chain (the remainders' product read by ``_tensor_reduce``) is stored
+# only when r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the
+# larger interior entries hold about half the memo's terms and are almost
+# never read again, so they are computed, checked, used and dropped.  A
+# dimension bound does not depend on p, and caps the interior part at the
+# pairs r <= s with r s <= 2^14 (80,840 of them for each p).
 _TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
+_INTERIOR_KEEP_DIM = 2**14
 
 
 def _leading_level(p: int, n: int) -> tuple[int, int]:
@@ -361,14 +372,15 @@ def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
     _, pb = _leading_level(p, s)
     r0, r1 = divmod(r, pb)
     s0, s1 = divmod(s, pb)
-    rest = _tensor_coeffs(p, r1, s1) if r1 and s1 else {}
+    rest = _tensor_coeffs(p, r1, s1, r1 * s1 <= _INTERIOR_KEEP_DIM) if r1 and s1 else {}
     return _digit_block(p, pb, r0, s0, ((r1, 1),), ((s1, 1),), rest)
 
 
-def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
-    """The memoized decomposition of V_r (x) V_s as a shared read-only
-    mapping.  Both checks run on every newly computed entry, as plain ifs
-    that survive ``python -O``."""
+def _tensor_coeffs(p: int, r: int, s: int, keep: bool = True) -> Mapping[int, int]:
+    """The decomposition of V_r (x) V_s, read from the memo when present.
+    A newly computed entry is stored as a shared read-only mapping when
+    ``keep`` is true, and returned unstored otherwise.  Both checks run on
+    every newly computed entry, as plain ifs that survive ``python -O``."""
     if r > s:
         r, s = s, r
     key = (p, r, s)
@@ -380,6 +392,8 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
         raise VerificationError(f"negative multiplicity at {key}")
     if sum(map(operator.mul, out, out.values())) != r * s:
         raise VerificationError(f"dimension lost at {key}")
+    if not keep:
+        return out
     _TENSOR_CACHE[key] = shared = MappingProxyType(out)
     return shared
 

@@ -117,7 +117,8 @@ def to_digits(n: int, base: int) -> tuple[int, ...]:
 # cousins of n number 2^(nonzero non-leading digits).  The cap admits every
 # cousin set of n <= 10^6 (at most 2^18, in base 2), every trick set of
 # n <= 100,000 in bases 2..10 (at most 2,584) and every index set of a group
-# with q <= 4096 (a subset of 1..q).
+# with q <= 4096 (a subset of 1..q).  ``ubasis.u_element`` applies it to its
+# bound on the V-support of U_r.
 MAX_INDEX_SET = 2**18
 
 

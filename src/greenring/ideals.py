@@ -14,8 +14,8 @@ is chosen.
 Every lattice row is sparse from construction to Smith form: a tuple of
 (column, value) pairs over its nonzero entries, columns ascending.  A
 prime-power factor l^k of the coprime part holds l^k nonzero entries in
-all, and ``rank_report`` refuses a factor order above ``MAX_FACTOR_ORDER``
-before it builds anything.
+all, and the p-part holds q/p one-entry rows; ``rank_report`` refuses an
+l^k or a q/p above ``MAX_FACTOR_ORDER`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class LatticeBasis:
     Each generator is a tuple of (column, value) pairs over its nonzero
     entries, in ascending column order; a column outside
     0..ambient_rank-1 raises ``ValueError``.  The lattices ``rank_report``
-    builds are at most ``MAX_FACTOR_ORDER`` wide.
+    builds hold at most ``MAX_FACTOR_ORDER`` nonzero entries each.
     """
 
     ambient_rank: int
@@ -336,8 +336,9 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
 
 
 # A factor of order l^k is one sparse lattice with l^k nonzero entries:
-# rank 2^20 --p 3 peaks near 700 MB.  Factoring stops at the cap too, so
-# refusing a huge prime factor costs at most 2^20 trial divisions.
+# rank 2^20 --p 3 peaks near 700 MB.  The p-part holds q/p entries, one a
+# row.  Factoring stops at the cap too, so refusing a huge prime factor
+# costs at most 2^20 trial divisions.
 MAX_FACTOR_ORDER = 2**20
 
 
@@ -350,13 +351,18 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
     right exact, so the quotient is the tensor product of the factors'
     quotients: one small Smith form per factor, ranks multiplied.  The
     all-unit invariant factors need torsion-free factors: checked, not assumed.
-    A factor order (each l^k of m, and q) above ``MAX_FACTOR_ORDER`` raises
-    ``ValueError`` before any lattice is built.
+    A factor order l^k of m, or a p-part row count q/p, above
+    ``MAX_FACTOR_ORDER`` raises ``ValueError`` before any lattice is built.
     """
     orders = [ell**k for ell, k in prime_factors(spec.m, MAX_FACTOR_ORDER).items()]
-    for order in orders + [spec.q]:
+    for order in orders:
         if order > MAX_FACTOR_ORDER:
             raise ValueError(f"a factor of order {order} exceeds {MAX_FACTOR_ORDER}")
+    if spec.q // spec.p > MAX_FACTOR_ORDER:
+        raise ValueError(
+            f"the factor of order {spec.q} has {spec.q // spec.p} rows, "
+            f"more than {MAX_FACTOR_ORDER}"
+        )
     factors = [semisimple_ideal(order) for order in orders]
     if spec.alpha >= 1:
         factors.append(induced_ideal_q(GroupSpec(spec.p, spec.alpha)))

@@ -149,6 +149,18 @@ def rank_fp(p: int, entries) -> int:
     return _rank_mod_p(array % p, p)
 
 
+def _times_nilpotent(basis: np.ndarray, nilpotent: np.ndarray, p: int) -> np.ndarray:
+    """basis @ N mod p as int64, for int64 basis rows with entries in
+    0..p-1 and the float64 N = J_r (x) J_s - 1 of ``jordan_type_dense``.
+
+    N is 0/1 with at most three ones in a column (N = L (x) 1 + 1 (x) L +
+    L (x) L for the subdiagonal shift L), so every entry of the product is
+    at most 3(p - 1).  ``_require_prime`` keeps p below 2^32, so that is
+    far below 2^53 and the float64 product, which runs on BLAS, is exact.
+    """
+    return (basis.astype(np.float64) @ nilpotent).astype(np.int64) % p
+
+
 def jordan_type_dense(
     p: int, r: int, s: int, budget: int = DEFAULT_BUDGET
 ) -> JordanType:
@@ -160,6 +172,7 @@ def jordan_type_dense(
     g = tensor_generator_matrix(p, r, s, budget=budget)
     n = r * s
     nilpotent = (g - np.eye(n, dtype=np.int64)) % p
+    nilpotent_f = nilpotent.astype(np.float64)
     ranks = [n]
     work = nilpotent.copy()
     while True:
@@ -169,7 +182,7 @@ def jordan_type_dense(
             break
         # work[:rk] is an echelon basis of the row space of N^k, so its
         # product with N spans the row space of N^(k+1).
-        work = work[:rk] @ nilpotent % p
+        work = _times_nilpotent(work[:rk], nilpotent_f, p)
     ranks.append(0)
     blocks: list[int] = []
     for k in range(1, len(ranks) - 1):

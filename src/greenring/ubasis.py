@@ -14,6 +14,7 @@ diagonal; rendered as a bitmap it shows a Sierpinski-like pattern.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from . import digits
 from .core_ring import GroupSpec, RingElement, chi, mul, one
@@ -51,21 +52,46 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
+def _support_bound(r: int, p: int) -> int:
+    """An upper bound on the number of V-terms of U_r, from the digits
+    d_0, d_1, ... of r - 1: with d_0 .. d_(k-1) equal to p - 1 and d_k
+    below it, the product of (d_i + 1) over the levels i > k.
+
+    Multiplied from the lowest digit up, the factors up to level k give
+    U_{(d_k + 1) p^k} = V_{(d_k + 1) p^k}, a single term, and the partial
+    product before a level i > k is U_{r'} with r' <= p^i.  On a term V_j
+    with j <= p^i the factor [d_i + 1] at chi_i gives at most d_i + 1
+    terms (V_{(d_i - 2e) p^i +- j}, folded at zero), so every partial
+    product, and U_r, stays within the bound."""
+    digs = digits.to_digits(r - 1, p)
+    k = 0
+    while k < len(digs) and digs[k] == p - 1:
+        k += 1
+    return math.prod(d + 1 for d in digs[k + 1 :])
+
+
 def u_element(group: GroupSpec, r: int) -> RingElement:
     """U_r expanded into the V-basis.
 
-    Factors are multiplied from the highest digit level downwards.  The
-    top index of the result is exactly r with coefficient 1, and its
-    dimension is the product of (digit + 1) over the digits of r - 1.
+    Factors are multiplied from the lowest digit level upwards, so each
+    partial product is itself a U-element (see ``_support_bound``).  An r
+    whose support bound exceeds ``digits.MAX_INDEX_SET`` raises
+    ``ValueError`` before any product.  The top index of the result is
+    exactly r with coefficient 1, and its dimension is the product of
+    (digit + 1) over the digits of r - 1.
     """
     if not 1 <= r <= group.q:
         raise ValueError(f"index {r} outside 1..{group.q}")
-    digs = digits.to_digits(r - 1, group.p)
+    bound = _support_bound(r, group.p)
+    if bound > digits.MAX_INDEX_SET:
+        raise ValueError(
+            f"U_{r} may have up to {bound} terms in base {group.p}, "
+            f"more than {digits.MAX_INDEX_SET}"
+        )
     out = one(group)
-    for level in range(len(digs) - 1, -1, -1):
-        if digs[level] == 0:
-            continue
-        out = mul(out, eval_at_element(digs[level] + 1, chi(group, level)))
+    for level, digit in enumerate(digits.to_digits(r - 1, group.p)):
+        if digit:
+            out = mul(out, eval_at_element(digit + 1, chi(group, level)))
     return out
 
 

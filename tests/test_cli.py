@@ -72,6 +72,15 @@ class TestUbasisAndCousins:
         code, out, _ = run("ubasis", "--p", "5", "--alpha", "3", "12")
         assert (code, out) == (0, "V12 - V8 + V2\n")
 
+    def test_ubasis_support_above_cap_is_exit_2(self):
+        # 99999999998 has 24 binary ones above level 0: up to 2^24 terms
+        start = time.monotonic()
+        done = _run_capped("ubasis", "99999999999", "--p", "2", "--alpha", "60")
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
     def test_cousins_text(self, run):
         code, out, _ = run("cousins", "63", "--base", "5")
         assert (code, out) == (0, "37 43 57 63\n")
@@ -219,6 +228,15 @@ class TestRankVerifyRelations:
         start = time.monotonic()
         done = _run_capped(*argv)
         assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
+    def test_rank_caps_the_p_part_rows_not_q(self):
+        # q = 1048583 > 2^20, but its induced ideal is one row
+        done = _run_capped("rank", "1048583", "--p", "1048583")
+        assert (done.returncode, done.stdout) == (0, "quotient_rank 1048582, phi 1048582\n")
+        done = _run_capped("rank", "4194304", "--p", "2")  # 2^21 rows
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr

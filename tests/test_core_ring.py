@@ -23,6 +23,7 @@ from greenring.core_ring import (
     tensor,
     zero,
 )
+from greenring.digits import VerificationError
 from greenring.oracle import jordan_type
 from greenring.ubasis import u_element
 
@@ -564,3 +565,104 @@ class TestReductionParameters:
             assert product.coeffs.get(pb * p, 0) == r + s - pb * p
             assert d1 == p - s0 - 1
             assert d2 == p - s0
+
+
+class TestMemoRetention:
+    """The memo keeps every pair a caller asks for, and an interior pair of
+    a digit chain only when r s <= _INTERIOR_KEEP_DIM; larger interior
+    entries are computed, checked, used and dropped."""
+
+    G57 = GroupSpec(5, 7)
+    # at (5,7) the chain of V_r (x) V_s reads the interior pair (150, 200)
+    # at p^beta = 5^6: 150 * 200 = 30000 is above the bound
+    R, S = 3 * 5**6 + 200, 4 * 5**6 + 150
+
+    @staticmethod
+    def _queries(group, count):
+        rng = random.Random(7)
+        return [(rng.randint(1, group.q), rng.randint(1, group.q)) for _ in range(count)]
+
+    def test_cold_tensor_calls_keep_requested_and_drop_large_interior(self, monkeypatch):
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        queries = self._queries(self.G57, 3000)
+        for r, s in queries:
+            tensor(self.G57, r, s)
+        requested = {(5, min(r, s), max(r, s)) for r, s in queries}
+        memo = core_ring._TENSOR_CACHE
+        assert requested <= memo.keys()
+        large = {key for key in memo if key[1] * key[2] > core_ring._INTERIOR_KEEP_DIM}
+        assert large <= requested
+        # the rule has something to drop: interior entries below the bound are kept
+        assert len(memo) > len(requested)
+
+    def test_mul_pair_reads_are_kept(self, monkeypatch):
+        # every V-term of b sits alone in its digit group, so mul reads the
+        # pair memo for every pair of terms
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        a = V(self.G57, (47075, 1), (30100, 2))
+        b = V(self.G57, (62650, 1), (15000, 3))
+        mul(a, b)
+        pairs = {(5, min(r, s), max(r, s)) for r in a.coeffs for s in b.coeffs}
+        assert pairs <= core_ring._TENSOR_CACHE.keys()
+
+    def test_warm_call_returns_the_same_mapping(self, monkeypatch):
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        cold = tensor(self.G57, self.R, self.S)
+        assert (5, 150, 200) not in core_ring._TENSOR_CACHE
+        assert tensor(self.G57, self.S, self.R).coeffs is cold.coeffs
+
+    def test_results_equal_a_memo_that_keeps_everything(self, monkeypatch):
+        # 115,067 pairs: 3,000 random pairs and every ordered pair
+        # r, s <= 60 at six groups, and every r <= s <= 256/243/125/100 at
+        # p = 2/3/5/7
+        pairs = []
+        for p, alpha in [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (5, 7)]:
+            q = p**alpha
+            rng = random.Random(q)
+            pairs += [(p, alpha, rng.randint(1, q), rng.randint(1, q)) for _ in range(3000)]
+            pairs += [(p, alpha, r, s) for r in range(1, 61) for s in range(1, 61)]
+        for p, alpha, top in [(2, 8, 256), (3, 5, 243), (5, 3, 125), (7, 3, 100)]:
+            pairs += [(p, alpha, r, s) for s in range(1, top + 1) for r in range(1, s + 1)]
+        assert len(pairs) == 115067
+        groups = {key: GroupSpec(*key) for key in {(p, alpha) for p, alpha, _, _ in pairs}}
+
+        def run():
+            monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+            return [tensor(groups[p, alpha], r, s).coeffs for p, alpha, r, s in pairs]
+
+        bounded = run()
+        monkeypatch.setattr(core_ring, "_INTERIOR_KEEP_DIM", float("inf"))
+        assert run() == bounded
+
+    _SCRIPT = (
+        "from greenring import core_ring, digits\n"
+        "reduce = core_ring._tensor_reduce\n"
+        "def patched(p, r, s):\n"
+        "    out = reduce(p, r, s)\n"
+        "    if (r, s) == (150, 200):\n"
+        "        del out[max(out)]\n"
+        "    return out\n"
+        "core_ring._tensor_reduce = patched\n"
+        "try:\n"
+        "    core_ring.tensor(core_ring.GroupSpec(5, 7), {r}, {s})\n"
+        "except digits.VerificationError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def test_lost_dimension_on_a_dropped_entry_raises(self, monkeypatch):
+        reduce = core_ring._tensor_reduce
+
+        def patched(p, r, s):
+            out = reduce(p, r, s)
+            if (r, s) == (150, 200):
+                del out[max(out)]
+            return out
+
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_reduce", patched)
+        with pytest.raises(VerificationError, match=r"dimension lost at \(5, 150, 200\)"):
+            tensor(self.G57, self.R, self.S)
+
+    def test_lost_dimension_on_a_dropped_entry_raises_under_optimize(self):
+        out = _run_optimized(self._SCRIPT.format(r=self.R, s=self.S))
+        assert out.startswith("dimension lost at (5, 150, 200)"), out

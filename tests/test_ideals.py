@@ -220,6 +220,13 @@ class TestNonInducedRank:
     def test_values(self, n, p, expected):
         assert rank_report(CyclicGroupSpec(n, p))["quotient_rank"] == expected
 
+    def test_p_part_cap_counts_rows(self):
+        # the p-part holds q/p rows: q = p = 1048583 is one row, while
+        # q = 2^22 at p = 2 is 2^21 rows, above MAX_FACTOR_ORDER
+        assert rank_report(CyclicGroupSpec(1048583, 1048583))["quotient_rank"] == 1048582
+        with pytest.raises(ValueError, match="2097152 rows"):
+            rank_report(CyclicGroupSpec(2**22, 2))
+
     def test_coprime_characteristic_uses_semisimple_path(self):
         spec = CyclicGroupSpec(9, 2)
         assert spec.alpha == 0 and spec.m == 9

@@ -7,6 +7,8 @@ from greenring import core_ring
 from greenring.oracle import (
     BudgetExceeded,
     JordanType,
+    _rank_mod_p,
+    _times_nilpotent,
     jordan_type,
     jordan_type_dense,
     rank_fp,
@@ -184,3 +186,25 @@ class TestVerifyEngine:
     def test_large_group_small_budget_is_bounded(self):
         # q = 2^16 has about 2e9 pairs; only the 144 within budget are visited
         assert verify_engine(2, 16, budget=64) == []
+
+
+class TestDenseFloatProduct:
+    """jordan_type_dense takes each power of N in float64 (BLAS); every
+    entry is at most 3(p - 1), so it must equal the int64 product."""
+
+    # the dense spot-check shape: p = 5, r <= s <= 25, 200 <= r*s <= 250
+    SPOT_PAIRS = [(5, r, s) for r in range(9, 16) for s in range(r, 26) if 200 <= r * s <= 250]
+    SMALL_PAIRS = [(p, r, s) for p in (2, 3, 7) for r in range(1, 9) for s in range(r, 9)]
+
+    @pytest.mark.parametrize("p,r,s", SPOT_PAIRS + SMALL_PAIRS)
+    def test_power_sequence_equals_int64(self, p, r, s):
+        n = r * s
+        nilpotent = (tensor_generator_matrix(p, r, s) - np.eye(n, dtype=np.int64)) % p
+        nilpotent_f = nilpotent.astype(np.float64)
+        work = nilpotent.copy()
+        while rank := _rank_mod_p(work, p):
+            reference = work[:rank] @ nilpotent % p  # the int64 product
+            got = _times_nilpotent(work[:rank], nilpotent_f, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference), (p, r, s, rank)
+            work = reference

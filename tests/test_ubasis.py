@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenring.core_ring import GroupSpec, RingElement, basis_element
+from greenring import digits, ubasis
+from greenring.core_ring import GroupSpec, RingElement, basis_element, chi, mul, one
+from greenring.quantum import eval_at_element
 from greenring.ubasis import (
     MAX_MATRIX_ORDER,
     IntMatrix,
+    _support_bound,
     change_of_basis,
     cousins,
     curly_u,
@@ -214,3 +217,55 @@ class TestRenderMatrix:
             render_matrix(IntMatrix(((2,),)), "pbm")
         with pytest.raises(ValueError):
             render_matrix(IntMatrix(((-1,),)), "text")
+
+
+def _u_element_top_down(group, r):
+    """Cross-check: U_r with the chi-level factors multiplied from the
+    highest digit level down, the reverse of ``u_element``'s order."""
+    digs = digits.to_digits(r - 1, group.p)
+    out = one(group)
+    for level in range(len(digs) - 1, -1, -1):
+        if digs[level]:
+            out = mul(out, eval_at_element(digs[level] + 1, chi(group, level)))
+    return out
+
+
+class TestUElementOrder:
+    @pytest.mark.parametrize("p,alpha", [(5, 4), (2, 10), (3, 6), (7, 3)])
+    def test_bottom_up_equals_top_down_within_support_bound(self, p, alpha):
+        # the bound is attained on every r of these groups
+        group = GroupSpec(p, alpha)
+        for r in range(1, group.q + 1):
+            element = u_element(group, r)
+            assert element == _u_element_top_down(group, r), r
+            assert len(element.coeffs) == _support_bound(r, p), r
+
+    def test_support_bound_from_digits(self):
+        # r - 1 = 62 = (2, 2, 2) in base 5: the digits above level 0 give 3 * 3
+        assert _support_bound(63, 5) == 9
+        assert _support_bound(1, 5) == 1
+        # r - 1 = 2^20 - 1 is twenty binary ones: U_r = V_r
+        assert _support_bound(2**20, 2) == 1
+        # r - 1 = (4, 4, 1, 2, 3) in base 5: the run of 4s and the digit
+        # after it give one term, the digits above it 3 * 4
+        assert _support_bound(1 + 4 + 4 * 5 + 1 * 25 + 2 * 125 + 3 * 625, 5) == 12
+
+    def test_single_term_u_element_at_a_high_level(self):
+        group = GroupSpec(2, 20)
+        assert u_element(group, 2**20) == basis_element(group, 2**20)
+
+    def test_refused_before_any_product(self, monkeypatch):
+        # 99999999998 has 24 binary ones above level 0: up to 2^24 terms
+        def no_product(a, b):
+            raise AssertionError("a product was taken")
+
+        monkeypatch.setattr(ubasis, "mul", no_product)
+        with pytest.raises(ValueError, match="16777216 terms"):
+            u_element(GroupSpec(2, 60), 99999999999)
+
+    def test_largest_allowed_bound_is_accepted(self, monkeypatch):
+        # the bound equals MAX_INDEX_SET: accepted (products patched away)
+        r = 2 * (2**18 - 1) + 1
+        assert _support_bound(r, 2) == digits.MAX_INDEX_SET
+        monkeypatch.setattr(ubasis, "mul", lambda a, b: a)
+        assert u_element(GroupSpec(2, 20), r) == one(GroupSpec(2, 20))
