@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import math
 
 from .core_ring import GroupSpec, mul
 from .digits import VerificationError, is_prime, prime_factors
@@ -338,8 +339,12 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
 # A factor of order l^k is one sparse lattice with l^k nonzero entries:
 # rank 2^20 --p 3 peaks near 700 MB.  The p-part holds q/p entries, one a
 # row.  Factoring stops at the cap too, so refusing a huge prime factor
-# costs at most 2^20 trial divisions.
+# costs at most 2^20 trial divisions, and phi(n) is taken from the same
+# factorization.  The report lists its n - phi(n) unit invariant factors,
+# which for a huge p and m >= 2 is at least q; the second cap keeps that
+# list within 128 MB.
 MAX_FACTOR_ORDER = 2**20
+MAX_REPORT_RANK = 2**24
 
 
 def rank_report(spec: CyclicGroupSpec) -> dict:
@@ -352,9 +357,11 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
     quotients: one small Smith form per factor, ranks multiplied.  The
     all-unit invariant factors need torsion-free factors: checked, not assumed.
     A factor order l^k of m, or a p-part row count q/p, above
-    ``MAX_FACTOR_ORDER`` raises ``ValueError`` before any lattice is built.
+    ``MAX_FACTOR_ORDER``, or an ideal rank n - phi(n) above
+    ``MAX_REPORT_RANK``, raises ``ValueError`` before any lattice is built.
     """
-    orders = [ell**k for ell, k in prime_factors(spec.m, MAX_FACTOR_ORDER).items()]
+    primes = prime_factors(spec.m, MAX_FACTOR_ORDER)
+    orders = [ell**k for ell, k in primes.items()]
     for order in orders:
         if order > MAX_FACTOR_ORDER:
             raise ValueError(f"a factor of order {order} exceeds {MAX_FACTOR_ORDER}")
@@ -362,6 +369,16 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
         raise ValueError(
             f"the factor of order {spec.q} has {spec.q // spec.p} rows, "
             f"more than {MAX_FACTOR_ORDER}"
+        )
+    # phi is multiplicative, and the factorization above is complete; a
+    # second one of n would trial-divide up to sqrt(p) when p is huge
+    phi_n = math.prod(order - order // ell for ell, order in zip(primes, orders))
+    if spec.alpha >= 1:
+        phi_n *= spec.q - spec.q // spec.p
+    if spec.n - phi_n > MAX_REPORT_RANK:
+        raise ValueError(
+            f"the report would list {spec.n - phi_n} invariant factors, "
+            f"more than {MAX_REPORT_RANK}"
         )
     factors = [semisimple_ideal(order) for order in orders]
     if spec.alpha >= 1:
@@ -378,7 +395,7 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
         "p": spec.p,
         "ideal_rank": ideal_rank,
         "quotient_rank": quotient_rank,
-        "phi_n": euler_phi(spec.n),
+        "phi_n": phi_n,
         "invariant_factors": [1] * ideal_rank,
     }
 

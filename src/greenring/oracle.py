@@ -14,8 +14,10 @@ N = g - 1 by dense elimination, and block multiplicities via
     mult(k) = rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)).
 
 Each power is taken on an echelon basis of the row space of the previous
-one, so the matrices shrink as the ranks fall.  Cost grows like (r s)^3,
-fine for a few hundred dimensions.
+one, so the matrices shrink as the ranks fall; the product with N is three
+shifted copies of that basis (N = L (x) 1 + 1 (x) L + L (x) L for the
+subdiagonal shift L), checked once against g - 1.  Cost grows like
+(r s)^3, fine for a few hundred dimensions.
 
 ``jordan_type`` reduces an r x r presentation and handles the full
 default budget (dimension 16384) quickly.  V_r (x) V_s is the algebra
@@ -149,16 +151,22 @@ def rank_fp(p: int, entries) -> int:
     return _rank_mod_p(array % p, p)
 
 
-def _times_nilpotent(basis: np.ndarray, nilpotent: np.ndarray, p: int) -> np.ndarray:
-    """basis @ N mod p as int64, for int64 basis rows with entries in
-    0..p-1 and the float64 N = J_r (x) J_s - 1 of ``jordan_type_dense``.
+def _times_nilpotent(basis: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
+    """basis @ N mod p for N = J_r (x) J_s - 1 and int64 basis rows of
+    length r s.
 
-    N is 0/1 with at most three ones in a column (N = L (x) 1 + 1 (x) L +
-    L (x) L for the subdiagonal shift L), so every entry of the product is
-    at most 3(p - 1).  ``_require_prime`` keeps p below 2^32, so that is
-    far below 2^53 and the float64 product, which runs on BLAS, is exact.
+    J = 1 + L for the subdiagonal shift L, so N = L (x) 1 + 1 (x) L +
+    L (x) L, and a row viewed as an r x s array is multiplied by N as the
+    sum of three copies of it shifted by one step: along r, along s, and
+    along both.  Every entry of the sum is at most three entries of the
+    row, and no dense product is formed.
     """
-    return (basis.astype(np.float64) @ nilpotent).astype(np.int64) % p
+    rows = basis.reshape(-1, r, s)
+    out = np.zeros_like(rows)
+    out[:, :-1, :] += rows[:, 1:, :]
+    out[:, :, :-1] += rows[:, :, 1:]
+    out[:, :-1, :-1] += rows[:, 1:, 1:]
+    return out.reshape(-1, r * s) % p
 
 
 def jordan_type_dense(
@@ -169,12 +177,18 @@ def jordan_type_dense(
     Cubic in r*s per power of N; intended for modest sizes and as the
     cross-check for :func:`jordan_type`.
     """
-    g = tensor_generator_matrix(p, r, s, budget=budget)
+    nilpotent = tensor_generator_matrix(p, r, s, budget=budget)
     n = r * s
-    nilpotent = (g - np.eye(n, dtype=np.int64)) % p
-    nilpotent_f = nilpotent.astype(np.float64)
+    identity = np.eye(n, dtype=np.int64)
+    # the shifted product applied to the identity is N itself, so checking
+    # it against g - 1 ties every later power to the Kronecker construction
+    work = _times_nilpotent(identity, r, s, p)
+    nilpotent -= identity
+    nilpotent %= p
+    if not np.array_equal(work, nilpotent):
+        raise VerificationError(f"shifted product differs from g - 1 for p={p}, r={r}, s={s}")
+    del nilpotent, identity
     ranks = [n]
-    work = nilpotent.copy()
     while True:
         rk = _rank_mod_p(work, p)
         ranks.append(rk)
@@ -182,7 +196,7 @@ def jordan_type_dense(
             break
         # work[:rk] is an echelon basis of the row space of N^k, so its
         # product with N spans the row space of N^(k+1).
-        work = _times_nilpotent(work[:rk], nilpotent_f, p)
+        work = _times_nilpotent(work[:rk], r, s, p)
     ranks.append(0)
     blocks: list[int] = []
     for k in range(1, len(ranks) - 1):

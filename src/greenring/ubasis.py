@@ -52,6 +52,16 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
+def _low_run(digs: tuple[int, ...], p: int) -> int:
+    """The level k of the first digit of r - 1 below p - 1 (its length if
+    there is none): the factors at levels 0 .. k multiply to the single
+    term U_{(d_k + 1) p^k} = V_{(d_k + 1) p^k}."""
+    k = 0
+    while k < len(digs) and digs[k] == p - 1:
+        k += 1
+    return k
+
+
 def _support_bound(r: int, p: int) -> int:
     """An upper bound on the number of V-terms of U_r, from the digits
     d_0, d_1, ... of r - 1: with d_0 .. d_(k-1) equal to p - 1 and d_k
@@ -64,21 +74,20 @@ def _support_bound(r: int, p: int) -> int:
     terms (V_{(d_i - 2e) p^i +- j}, folded at zero), so every partial
     product, and U_r, stays within the bound."""
     digs = digits.to_digits(r - 1, p)
-    k = 0
-    while k < len(digs) and digs[k] == p - 1:
-        k += 1
-    return math.prod(d + 1 for d in digs[k + 1 :])
+    return math.prod(d + 1 for d in digs[_low_run(digs, p) + 1 :])
 
 
 def u_element(group: GroupSpec, r: int) -> RingElement:
     """U_r expanded into the V-basis.
 
-    Factors are multiplied from the lowest digit level upwards, so each
-    partial product is itself a U-element (see ``_support_bound``).  An r
-    whose support bound exceeds ``digits.MAX_INDEX_SET`` raises
-    ``ValueError`` before any product.  The top index of the result is
-    exactly r with coefficient 1, and its dimension is the product of
-    (digit + 1) over the digits of r - 1.
+    The factors at levels 0 .. k (see ``_low_run``) are multiplied first,
+    into one term, and the rest from the highest level down.  Every
+    partial product is then U_{r'} for an r' - 1 whose digits are those of
+    r - 1 at some of the levels, so its support bound is at most that of
+    U_r (see ``_support_bound``).  An r whose support bound exceeds
+    ``digits.MAX_INDEX_SET`` raises ``ValueError`` before any product.
+    The top index of the result is exactly r with coefficient 1, and its
+    dimension is the product of (digit + 1) over the digits of r - 1.
     """
     if not 1 <= r <= group.q:
         raise ValueError(f"index {r} outside 1..{group.q}")
@@ -88,10 +97,15 @@ def u_element(group: GroupSpec, r: int) -> RingElement:
             f"U_{r} may have up to {bound} terms in base {group.p}, "
             f"more than {digits.MAX_INDEX_SET}"
         )
+    digs = digits.to_digits(r - 1, group.p)
+    k = _low_run(digs, group.p)
+    # a long low run makes the top-down partial products large before
+    # they cancel; the levels above it are cheaper top-down than ascending
+    levels = list(range(min(k + 1, len(digs)))) + list(range(len(digs) - 1, k, -1))
     out = one(group)
-    for level, digit in enumerate(digits.to_digits(r - 1, group.p)):
-        if digit:
-            out = mul(out, eval_at_element(digit + 1, chi(group, level)))
+    for level in levels:
+        if digs[level]:
+            out = mul(out, eval_at_element(digs[level] + 1, chi(group, level)))
     return out
 
 

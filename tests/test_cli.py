@@ -241,6 +241,21 @@ class TestRankVerifyRelations:
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
 
+    def test_rank_huge_prime_p_answers_at_once(self):
+        # q = p near 10^18: phi(n) comes from the factorization of m = 1,
+        # not from trial division of n up to sqrt(p)
+        p = "1000000000000000003"
+        start = time.monotonic()
+        done = _run_capped("rank", p, "--p", p)
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (
+            0, "quotient_rank 1000000000000000002, phi 1000000000000000002\n"
+        )
+        # n = 2p would list p + 1 invariant factors: refused before building
+        done = _run_capped("rank", "2000000000000000006", "--p", p)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: the report would list")
+
     def test_memory_error_is_exit_2(self, run, monkeypatch):
         def exhausted(spec):
             raise MemoryError

@@ -227,6 +227,12 @@ class TestNonInducedRank:
         with pytest.raises(ValueError, match="2097152 rows"):
             rank_report(CyclicGroupSpec(2**22, 2))
 
+    def test_report_rank_cap(self):
+        # n = 2p with p = 10^8 + 7: two one-row factors, but the report
+        # would list n - phi(n) = p + 1 invariant factors
+        with pytest.raises(ValueError, match="100000008 invariant factors"):
+            rank_report(CyclicGroupSpec(2 * 100000007, 100000007))
+
     def test_coprime_characteristic_uses_semisimple_path(self):
         spec = CyclicGroupSpec(9, 2)
         assert spec.alpha == 0 and spec.m == 9
@@ -249,6 +255,7 @@ class TestNonInducedRank:
         for p in primes or [2]:
             spec = CyclicGroupSpec(n, p)
             assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
+            assert rank_report(spec)["phi_n"] == euler_phi(n), (n, p)
             assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
 
     def test_torsion_in_a_factor_is_a_verification_failure(self):

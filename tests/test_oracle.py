@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenring import core_ring
+from greenring import core_ring, oracle
+from greenring.digits import VerificationError
 from greenring.oracle import (
     BudgetExceeded,
     JordanType,
@@ -188,23 +189,29 @@ class TestVerifyEngine:
         assert verify_engine(2, 16, budget=64) == []
 
 
-class TestDenseFloatProduct:
-    """jordan_type_dense takes each power of N in float64 (BLAS); every
-    entry is at most 3(p - 1), so it must equal the int64 product."""
+class TestShiftedProduct:
+    """jordan_type_dense multiplies by N = J_r (x) J_s - 1 as three shifted
+    copies of each row; it must equal the dense product with g - 1."""
 
-    # the dense spot-check shape: p = 5, r <= s <= 25, 200 <= r*s <= 250
-    SPOT_PAIRS = [(5, r, s) for r in range(9, 16) for s in range(r, 26) if 200 <= r * s <= 250]
-    SMALL_PAIRS = [(p, r, s) for p in (2, 3, 7) for r in range(1, 9) for s in range(r, 9)]
-
-    @pytest.mark.parametrize("p,r,s", SPOT_PAIRS + SMALL_PAIRS)
-    def test_power_sequence_equals_int64(self, p, r, s):
+    @pytest.mark.parametrize(
+        "p,r,s", [(2, 1, 1), (2, 3, 8), (3, 4, 4), (5, 9, 25), (5, 15, 16), (7, 6, 2)]
+    )
+    def test_equals_dense_product(self, p, r, s):
         n = r * s
         nilpotent = (tensor_generator_matrix(p, r, s) - np.eye(n, dtype=np.int64)) % p
-        nilpotent_f = nilpotent.astype(np.float64)
-        work = nilpotent.copy()
-        while rank := _rank_mod_p(work, p):
-            reference = work[:rank] @ nilpotent % p  # the int64 product
-            got = _times_nilpotent(work[:rank], nilpotent_f, p)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, reference), (p, r, s, rank)
-            work = reference
+        rows = np.random.default_rng(r * s).integers(0, p, size=(7, n))
+        got = _times_nilpotent(rows, r, s, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, rows @ nilpotent % p)
+
+    def test_checked_against_generator(self, monkeypatch):
+        def without_corner(basis, r, s, p):
+            rows = basis.reshape(-1, r, s)
+            out = np.zeros_like(rows)
+            out[:, :-1, :] += rows[:, 1:, :]
+            out[:, :, :-1] += rows[:, :, 1:]
+            return out.reshape(-1, r * s) % p
+
+        monkeypatch.setattr(oracle, "_times_nilpotent", without_corner)
+        with pytest.raises(VerificationError, match="shifted product"):
+            jordan_type_dense(3, 2, 2)

@@ -219,12 +219,13 @@ class TestRenderMatrix:
             render_matrix(IntMatrix(((-1,),)), "text")
 
 
-def _u_element_top_down(group, r):
-    """Cross-check: U_r with the chi-level factors multiplied from the
-    highest digit level down, the reverse of ``u_element``'s order."""
+def _u_element_in_order(group, r, top_down):
+    """Cross-check: U_r with the chi-level factors multiplied in one plain
+    order, from the highest digit level down or from the lowest up."""
     digs = digits.to_digits(r - 1, group.p)
+    levels = range(len(digs) - 1, -1, -1) if top_down else range(len(digs))
     out = one(group)
-    for level in range(len(digs) - 1, -1, -1):
+    for level in levels:
         if digs[level]:
             out = mul(out, eval_at_element(digs[level] + 1, chi(group, level)))
     return out
@@ -232,13 +233,23 @@ def _u_element_top_down(group, r):
 
 class TestUElementOrder:
     @pytest.mark.parametrize("p,alpha", [(5, 4), (2, 10), (3, 6), (7, 3)])
-    def test_bottom_up_equals_top_down_within_support_bound(self, p, alpha):
+    def test_orders_agree_within_support_bound(self, p, alpha):
         # the bound is attained on every r of these groups
         group = GroupSpec(p, alpha)
         for r in range(1, group.q + 1):
             element = u_element(group, r)
-            assert element == _u_element_top_down(group, r), r
+            assert element == _u_element_in_order(group, r, top_down=True), r
+            assert element == _u_element_in_order(group, r, top_down=False), r
             assert len(element.coeffs) == _support_bound(r, p), r
+
+    def test_low_run_first_then_top_down(self, monkeypatch):
+        # r - 1 = (4, 4, 1, 2, 3) in base 5, lowest digit first: levels 0..2
+        # ascending, then 4 and 3
+        seen = []
+        monkeypatch.setattr(ubasis, "chi", lambda group, level: seen.append(level) or one(group))
+        monkeypatch.setattr(ubasis, "mul", lambda a, b: a)
+        u_element(GroupSpec(5, 5), 1 + 4 + 4 * 5 + 1 * 25 + 2 * 125 + 3 * 625)
+        assert seen == [0, 1, 2, 4, 3]
 
     def test_support_bound_from_digits(self):
         # r - 1 = 62 = (2, 2, 2) in base 5: the digits above level 0 give 3 * 3
