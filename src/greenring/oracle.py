@@ -158,8 +158,7 @@ def _times_nilpotent(basis: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
     J = 1 + L for the subdiagonal shift L, so N = L (x) 1 + 1 (x) L +
     L (x) L, and a row viewed as an r x s array is multiplied by N as the
     sum of three copies of it shifted by one step: along r, along s, and
-    along both.  Every entry of the sum is at most three entries of the
-    row, and no dense product is formed.
+    along both.  No dense product is formed.
     """
     rows = basis.reshape(-1, r, s)
     out = np.zeros_like(rows)
