@@ -72,9 +72,17 @@ __all__ = [
 ]
 
 
+# The group order q = p^alpha is formed once per group.  Its size in bits is
+# bounded before it is formed: 3^(10^9) alone takes over 30 s, and a q of
+# more than about 7,000 bits can no longer be printed, squared, in an error
+# message (Python's 4,300-digit limit on int to str).
+MAX_ORDER_BITS = 4096
+
+
 @dataclasses.dataclass(frozen=True)
 class GroupSpec:
-    """Ambient cyclic p-group data: order q = p^alpha."""
+    """Ambient cyclic p-group data: order q = p^alpha, at most
+    2^MAX_ORDER_BITS (a larger one raises ``ValueError`` before q is formed)."""
 
     p: int
     alpha: int
@@ -85,6 +93,10 @@ class GroupSpec:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.alpha < 1:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.alpha * math.log2(self.p) > MAX_ORDER_BITS:
+            raise ValueError(
+                f"q = {self.p}^{self.alpha} has more than {MAX_ORDER_BITS} bits"
+            )
         object.__setattr__(self, "q", self.p**self.alpha)
 
 
@@ -231,7 +243,8 @@ def chi(group: GroupSpec, k: int) -> RingElement:
 
 
 def _chi_column(p: int, k: int, s: int) -> dict[int, int]:
-    """Raw coefficients of chi_k . V_s for 1 <= s <= p^(k+1).
+    """Raw coefficients of chi_k . V_s for 1 <= s <= p^(k+1), the column
+    rule behind ``mul_chi_V``.
 
     Three ranges; nonpositive indices vanish and colliding indices merge
     (both happen at the range boundaries, e.g. s = p^(k+1)).  For p = 2
@@ -255,7 +268,11 @@ def _chi_column(p: int, k: int, s: int) -> dict[int, int]:
 
 
 def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
-    """Decomposition of chi_k . V_s, valid for 1 <= s <= p^(k+1)."""
+    """Decomposition of chi_k . V_s, valid for 1 <= s <= p^(k+1).
+
+    Closed-form cross-check of the tensor engine (column rule against the
+    digit reduction): only the tests call it, the library does not.
+    """
     if not 0 <= k < group.alpha:
         raise ValueError(f"level {k} outside 0..{group.alpha - 1}")
     return RingElement(group, _chi_column(group.p, k, s))
@@ -519,6 +536,9 @@ def chi_power(group: GroupSpec, i: int, s: int) -> RingElement:
     with e = s - 2 nu; terms whose index falls to zero or below vanish, so
     negative e contributes nothing and e = 0 leaves the central
     binom(s, s/2) V_1.
+
+    Closed-form cross-check of repeated ``mul`` by chi_i: only the tests
+    call it, the library does not.
     """
     if not 0 <= i < group.alpha:
         raise ValueError(f"level {i} outside 0..{group.alpha - 1}")

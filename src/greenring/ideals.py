@@ -47,7 +47,11 @@ __all__ = [
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient via factorization."""
+    """Euler totient via factorization.
+
+    Cross-check of ``rank_report``, which takes phi(n) from its own
+    per-factor factorization: only the tests call this one.
+    """
     if n < 1:
         raise ValueError("totient is defined for n >= 1")
     out = n
@@ -59,7 +63,11 @@ def euler_phi(n: int) -> int:
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial: divide Y^n - 1 by the cyclotomic
-    polynomials of the proper divisors."""
+    polynomials of the proper divisors.
+
+    Cross-check of the totient (its degree is phi(n)) and of the
+    factorization of Y^n - 1: only the tests call it, the library does not.
+    """
     if n < 1:
         raise ValueError("cyclotomic polynomials are indexed by n >= 1")
     poly = IntPolynomial(*([-1] + [0] * (n - 1) + [1]))

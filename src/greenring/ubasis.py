@@ -2,7 +2,11 @@
 directions.
 
 U_r is the product of quantum numbers [r_i + 1] evaluated at chi_i, one
-factor per base-p digit r_i of r - 1.  The U_j form a second Z-basis:
+factor per base-p digit r_i of r - 1.  ``u_element`` expands it straight
+from the digits, from level 0 up, by the action of one such factor on a
+V_j with j <= p^i; it takes no ring product, so the U-basis does not use
+the tensor engine or its memo (the ring product of the factors is its
+cross-check in the tests).  The U_j form a second Z-basis:
 each V_r is a multiplicity-free 0/1 sum of U_j.  The index set comes from
 the digit-splitting recursion (``digits.split_indices``, exposed level by
 level as ``curly_u``); the change of basis takes that route.  The cousins
@@ -17,8 +21,7 @@ import dataclasses
 import math
 
 from . import digits
-from .core_ring import GroupSpec, RingElement, chi, mul, one
-from .quantum import eval_at_element
+from .core_ring import GroupSpec, RingElement
 
 __all__ = [
     "IntMatrix",
@@ -78,15 +81,20 @@ def _support_bound(r: int, p: int) -> int:
 
 
 def u_element(group: GroupSpec, r: int) -> RingElement:
-    """U_r expanded into the V-basis.
+    """U_r expanded into the V-basis, one digit level at a time.
 
-    The factors at levels 0 .. k (see ``_low_run``) are multiplied first,
-    into one term, and the rest from the highest level down.  Every
-    partial product is then U_{r'} for an r' - 1 whose digits are those of
-    r - 1 at some of the levels, so its support bound is at most that of
-    U_r (see ``_support_bound``).  An r whose support bound exceeds
-    ``digits.MAX_INDEX_SET`` raises ``ValueError`` before any product.
-    The top index of the result is exactly r with coefficient 1, and its
+    For 1 <= j <= p^i and a digit d, the factor at level i acts on V_j by
+
+        [d + 1]_{chi_i} V_j = sum over e = d, d - 2, ... >= 0 of
+                              V_{e p^i + j} - V_{e p^i - j},
+
+    with indices <= 0 dropped (induction on d, from [n + 1] = X [n] - [n - 1]
+    and the column rule of chi_i on V_j).  Taken from level 0 up, the
+    partial product before level i is U_{r'} with r' <= p^i, so the rule
+    applies at every level and no ring product is taken.  Every partial
+    product stays within ``_support_bound``; an r whose bound exceeds
+    ``digits.MAX_INDEX_SET`` raises ``ValueError`` before any work.  The
+    top index of the result is exactly r with coefficient 1, and its
     dimension is the product of (digit + 1) over the digits of r - 1.
     """
     if not 1 <= r <= group.q:
@@ -97,16 +105,21 @@ def u_element(group: GroupSpec, r: int) -> RingElement:
             f"U_{r} may have up to {bound} terms in base {group.p}, "
             f"more than {digits.MAX_INDEX_SET}"
         )
-    digs = digits.to_digits(r - 1, group.p)
-    k = _low_run(digs, group.p)
-    # a long low run makes the top-down partial products large before
-    # they cancel; the levels above it are cheaper top-down than ascending
-    levels = list(range(min(k + 1, len(digs)))) + list(range(len(digs) - 1, k, -1))
-    out = one(group)
-    for level in levels:
-        if digs[level]:
-            out = mul(out, eval_at_element(digs[level] + 1, chi(group, level)))
-    return out
+    out = {1: 1}
+    for level, d in enumerate(digits.to_digits(r - 1, group.p)):
+        if not d:
+            continue
+        step = group.p**level
+        bases = range(d * step, -1, -2 * step)  # e p^i for e = d, d - 2, ...
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for j, c in out.items():
+            for base in bases:
+                nxt[base + j] = get(base + j, 0) + c
+                if base > j:
+                    nxt[base - j] = get(base - j, 0) - c
+        out = {t: c for t, c in nxt.items() if c}
+    return RingElement(group, out)
 
 
 def cousins(n: int, base: int) -> frozenset[int]:

@@ -61,6 +61,23 @@ class TestTensor:
         assert code == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tensor", "1", "1", "--p", "3", "--alpha", "1000000000"),
+            ("tensor", "1", "1", "--p", "2", "--alpha", "10000000000"),
+            ("matrix", "--p", "2", "--alpha", "100000000"),
+        ],
+    )
+    def test_oversized_order_refused_before_forming_q(self, argv):
+        # p^alpha of billions of bits is refused from alpha log2 p alone
+        start = time.monotonic()
+        done = _run_capped(*argv)
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: q = ")
+        assert f"more than {core_ring.MAX_ORDER_BITS} bits" in done.stderr
+
     def test_argparse_error_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tensor", "--p", "5", "2"])
@@ -267,6 +284,15 @@ class TestRankVerifyRelations:
     def test_relations_text(self, run):
         code, out, _ = run("relations", "--p", "5", "--alpha", "3")
         assert (code, out) == (0, "F0 F1 F2 all vanish\n")
+
+    @pytest.mark.parametrize("p,alpha", [("2", "1000"), ("3001", "2"), ("1000003", "2")])
+    def test_oversized_relations_refused_before_any_product(self, p, alpha):
+        start = time.monotonic()
+        done = _run_capped("relations", "--p", p, "--alpha", alpha)
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: relations at p = {p}, alpha = {alpha}")
+        assert "Traceback" not in done.stderr
 
     def test_relations_json(self, run):
         code, out, _ = run("relations", "--p", "3", "--alpha", "3", "--format", "json")

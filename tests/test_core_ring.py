@@ -51,6 +51,13 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec(5, 0)
 
+    def test_order_bits_bound(self):
+        assert GroupSpec(2, core_ring.MAX_ORDER_BITS).q == 2**core_ring.MAX_ORDER_BITS
+        with pytest.raises(ValueError, match="bits"):
+            GroupSpec(2, core_ring.MAX_ORDER_BITS + 1)
+        with pytest.raises(ValueError, match="bits"):
+            GroupSpec(3, 10**9)
+
 
 class TestRingElement:
     def test_zero_coefficients_pruned(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenring import digits, ubasis
+from greenring import core_ring, digits, ubasis
 from greenring.core_ring import GroupSpec, RingElement, basis_element, chi, mul, one
 from greenring.quantum import eval_at_element
 from greenring.ubasis import (
@@ -220,8 +220,10 @@ class TestRenderMatrix:
 
 
 def _u_element_in_order(group, r, top_down):
-    """Cross-check: U_r with the chi-level factors multiplied in one plain
-    order, from the highest digit level down or from the lowest up."""
+    """Cross-check of the single-level rule in ``u_element``: U_r as the
+    ring product of its chi-level factors [d + 1] at chi_i, multiplied in
+    one plain order, from the highest digit level down or from the lowest
+    up, through the tensor engine."""
     digs = digits.to_digits(r - 1, group.p)
     levels = range(len(digs) - 1, -1, -1) if top_down else range(len(digs))
     out = one(group)
@@ -242,15 +244,6 @@ class TestUElementOrder:
             assert element == _u_element_in_order(group, r, top_down=False), r
             assert len(element.coeffs) == _support_bound(r, p), r
 
-    def test_low_run_first_then_top_down(self, monkeypatch):
-        # r - 1 = (4, 4, 1, 2, 3) in base 5, lowest digit first: levels 0..2
-        # ascending, then 4 and 3
-        seen = []
-        monkeypatch.setattr(ubasis, "chi", lambda group, level: seen.append(level) or one(group))
-        monkeypatch.setattr(ubasis, "mul", lambda a, b: a)
-        u_element(GroupSpec(5, 5), 1 + 4 + 4 * 5 + 1 * 25 + 2 * 125 + 3 * 625)
-        assert seen == [0, 1, 2, 4, 3]
-
     def test_support_bound_from_digits(self):
         # r - 1 = 62 = (2, 2, 2) in base 5: the digits above level 0 give 3 * 3
         assert _support_bound(63, 5) == 9
@@ -266,17 +259,29 @@ class TestUElementOrder:
         assert u_element(group, 2**20) == basis_element(group, 2**20)
 
     def test_refused_before_any_product(self, monkeypatch):
-        # 99999999998 has 24 binary ones above level 0: up to 2^24 terms
-        def no_product(a, b):
-            raise AssertionError("a product was taken")
+        # 99999999998 has 24 binary ones above level 0: up to 2^24 terms,
+        # refused before the expansion builds any element
+        def no_element(group, coeffs):
+            raise AssertionError("an element was built")
 
-        monkeypatch.setattr(ubasis, "mul", no_product)
+        monkeypatch.setattr(ubasis, "RingElement", no_element)
         with pytest.raises(ValueError, match="16777216 terms"):
             u_element(GroupSpec(2, 60), 99999999999)
 
-    def test_largest_allowed_bound_is_accepted(self, monkeypatch):
-        # the bound equals MAX_INDEX_SET: accepted (products patched away)
+    def test_largest_allowed_bound_is_accepted(self):
+        # the bound equals MAX_INDEX_SET: accepted, and attained
         r = 2 * (2**18 - 1) + 1
         assert _support_bound(r, 2) == digits.MAX_INDEX_SET
-        monkeypatch.setattr(ubasis, "mul", lambda a, b: a)
-        assert u_element(GroupSpec(2, 20), r) == one(GroupSpec(2, 20))
+        element = u_element(GroupSpec(2, 20), r)
+        assert element.top_index() == r
+        assert element.coeffs[r] == 1
+        assert element.dim() == 2**18
+        assert len(element.coeffs) == digits.MAX_INDEX_SET
+
+    def test_tensor_memo_untouched(self):
+        # the U-basis takes no ring product, so the pair memo stays as it was
+        group = GroupSpec(5, 4)
+        before = dict(core_ring._TENSOR_CACHE)
+        for r in range(1, group.q + 1):
+            u_element(group, r)
+        assert core_ring._TENSOR_CACHE == before
