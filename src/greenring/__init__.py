@@ -45,8 +45,7 @@ from .quantum import (
     eval_at_element,
     quantum_closed_form,
     quantum_number,
-    relation_F,
-    relation_F0,
+    relations,
 )
 from .ubasis import IntMatrix, change_of_basis, cousins, u_element, v_in_u
 
@@ -59,7 +58,7 @@ __all__ = [
     "smith_normal_form",
     "JordanType", "jordan_type", "rank_fp", "verify_engine",
     "IntPolynomial", "eval_at_element", "quantum_closed_form",
-    "quantum_number", "relation_F", "relation_F0",
+    "quantum_number", "relations",
     "IntMatrix", "change_of_basis", "cousins", "u_element", "v_in_u",
 ]
 

@@ -121,11 +121,9 @@ def cmd_verify(args) -> int:
 
 def cmd_relations(args) -> int:
     group = _group(args)
-    names = ["F0"] + [f"F{j}" for j in range(1, args.alpha)]
-    values = [quantum.relation_F0(group)] + [
-        quantum.relation_F(group, j) for j in range(1, args.alpha)
-    ]
-    vanishes = {name: value.is_zero() for name, value in zip(names, values)}
+    vanishes = {
+        f"F{j}": value.is_zero() for j, value in enumerate(quantum.relations(group))
+    }
     ok = all(vanishes.values())
     if args.format == "json":
         payload = {
@@ -136,7 +134,7 @@ def cmd_relations(args) -> int:
         }
         _emit(_dump(payload), args.out)
     elif ok:
-        _emit(" ".join(names) + " all vanish\n", args.out)
+        _emit(" ".join(vanishes) + " all vanish\n", args.out)
     else:
         failed = [name for name, good in vanishes.items() if not good]
         _emit("nonzero: " + " ".join(failed) + "\n", args.out)

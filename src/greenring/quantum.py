@@ -3,9 +3,10 @@ chi-presentation of the ring.
 
 A quantum number [n] is the integer polynomial with [0] = 0, [1] = 1,
 [2] = X and [n] = [2][n-1] - [n-2]; evaluating at 2 gives back n.
-Substituting a ring element for X (most usefully one of the chi
-generators) is how the higher indecomposables and the U-basis are built:
-[r] at chi_0 equals V_r for r <= p.
+At a chi generator, [d + 1]_{chi_j} is the U-element U_{d p^j + 1}, and
+[r] at chi_0 equals V_r for r <= p.  The relations read [p] and [p - 1]
+at chi_j from ``ubasis.u_element``; evaluating at a ring element by the
+recurrence (``eval_at_element``) is their cross-check.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import dataclasses
 import math
 
 from .core_ring import GroupSpec, RingElement, chi, mul, one, zero
+from .ubasis import u_element
 
 __all__ = [
     "IntPolynomial",
     "quantum_number",
     "quantum_closed_form",
     "eval_at_element",
-    "relation_F",
-    "relation_F0",
+    "relations",
 ]
 
 
@@ -171,7 +172,12 @@ def quantum_closed_form(n: int) -> IntPolynomial:
 
 
 def eval_at_element(n: int, x: RingElement) -> RingElement:
-    """[n] evaluated at a ring element through the defining recurrence."""
+    """[n] evaluated at a ring element through the defining recurrence.
+
+    The library evaluates [p] and [p - 1] at chi_j as U-elements (see
+    :func:`relations`); this recurrence of ring products is kept as their
+    cross-check in the tests.
+    """
     if n < 0:
         raise ValueError("quantum numbers are indexed by n >= 0")
     group = x.group
@@ -183,11 +189,10 @@ def eval_at_element(n: int, x: RingElement) -> RingElement:
     return cur
 
 
-# Checking the relations of a group takes about alpha^2 p ring products of
-# elements with about p terms, each reduced over up to alpha digit levels,
-# so the work grows as alpha^3 p^2.  On a 2-vCPU VM, alpha^3 p^2 near 10^7
-# took 0.8 s at (2, 135) and 3.1 s at (1117, 2), while (2, 400) took 7.2 s
-# and (3001, 2) 19.3 s; larger groups are refused before any product.
+# The relations take 2 alpha - 1 ring products, one pass over the levels;
+# alpha^3 p^2 bounds that work loosely: on a 2-vCPU VM, at the cap
+# (1117, 2) takes 0.05 s and (2, 135) 0.17 s in process.  Larger groups
+# are refused before any product.
 MAX_RELATION_WORK = 10**7
 
 
@@ -200,48 +205,36 @@ def _check_relation_work(group: GroupSpec) -> None:
         )
 
 
-def _descent(group: GroupSpec, j: int) -> RingElement:
-    """D_j with D_0 = 1 and D_j = [p]_{chi_{j-1}} D_{j-1} - [p-1]_{chi_{j-1}}.
+def _levels(group: GroupSpec):
+    """Yield (chi_j, [p]_{chi_j}, D_j) for j = 0 .. alpha - 1, carrying
 
-    Unwinding the recursion shows D_j = V_{p^j} - V_{p^j - 1}: the [p]
-    factors accumulate to V_{p^j}, and the correction terms assemble
-    V_{p^j - 1} through [p]_{chi_{j-1}} V_{p^(j-1)-1} + [p-1]_{chi_{j-1}}
-    = V_{p^j - 1} (tested exhaustively in the suite).
+        D_0 = 1,  D_(j+1) = [p]_{chi_j} D_j - [p-1]_{chi_j}
+
+    forward; [p]_{chi_j} = U_{(p-1) p^j + 1} and [p-1]_{chi_j} =
+    U_{(p-2) p^j + 1} come from ``u_element``.  Unwinding the recursion
+    shows D_j = V_{p^j} - V_{p^j - 1} (tested in the suite).
     """
     p = group.p
-    out = one(group)
-    for i in range(j):
-        level = chi(group, i)
-        out = mul(eval_at_element(p, level), out) - eval_at_element(p - 1, level)
-    return out
+    descent = one(group)
+    for j in range(group.alpha):
+        top = u_element(group, (p - 1) * p**j + 1)
+        yield chi(group, j), top, descent
+        if j + 1 < group.alpha:
+            below = u_element(group, (p - 2) * p**j + 1)
+            descent = mul(top, descent) - below
 
 
-def relation_F(group: GroupSpec, j: int) -> RingElement:
-    """The j-th relation of the chi-presentation, evaluated at the chi
-    generators; must come out zero in the ring.
+def relations(group: GroupSpec) -> list[RingElement]:
+    """The relations F_0 .. F_(alpha-1) of the chi-presentation, evaluated
+    at the chi generators; each must come out zero in the ring.
 
-    F_j = (X_j - 2 [p]_{X_{j-1}} D_{j-1} + 2 [p-1]_{X_{j-1}}) [p]_{X_j}
-        = (X_j - 2 D_j) [p]_{X_j},
-
-    with D as in :func:`_descent`.  For j = 1 (where D_0 = 1) this is the
-    widely quoted two-term head, up to the sign of the [p-1] term; for
-    j >= 2 the recursive factor is required for the relation to vanish.
-    See docs/discrepancies.md.  A group past ``MAX_RELATION_WORK`` raises
-    ``ValueError`` before any product.
+    F_j = (X_j - 2 D_j) [p]_{X_j}, with D_j as in :func:`_levels`; at
+    j = 0 (D_0 = 1) this is the adopted bottom relation (X_0 - 2) [p]_{X_0}.
+    For j = 1 it is the widely quoted two-term head up to the sign of the
+    [p-1] term; for j >= 2 the recursive factor is required for the
+    relation to vanish.  See docs/discrepancies.md.  One pass over the
+    levels takes 2 alpha - 1 ring products.  A group past
+    ``MAX_RELATION_WORK`` raises ``ValueError`` before any product.
     """
-    if not 1 <= j < group.alpha:
-        raise ValueError(f"level {j} outside 1..{group.alpha - 1}")
     _check_relation_work(group)
-    here = chi(group, j)
-    head = here - 2 * _descent(group, j)
-    return mul(head, eval_at_element(group.p, here))
-
-
-def relation_F0(group: GroupSpec) -> RingElement:
-    """Adopted bottom relation F_0 = (X_0 - 2) [p]_{X_0} at chi_0; zero in
-    the ring, and compatible with replacing it by [p]_{X_0} alone in the
-    quotient presentation.  A group past ``MAX_RELATION_WORK`` raises
-    ``ValueError`` before any product."""
-    _check_relation_work(group)
-    x0 = chi(group, 0)
-    return mul(x0 - 2 * one(group), eval_at_element(group.p, x0))
+    return [mul(x - 2 * descent, top) for x, top, descent in _levels(group)]

@@ -21,8 +21,7 @@ from greenring.quantum import (
     IntPolynomial,
     quantum_closed_form,
     quantum_number,
-    relation_F,
-    relation_F0,
+    relations,
 )
 from greenring.ubasis import change_of_basis, curly_u, u_element, v_in_u
 
@@ -116,11 +115,11 @@ def test_criterion_04_change_of_basis_soundness():
 def test_criterion_05_relations_vanish():
     failures = []
     for p, alpha in RELATION_GROUPS:
-        group = GroupSpec(p, alpha)
-        if not relation_F0(group).is_zero():
+        values = relations(GroupSpec(p, alpha))
+        if not values[0].is_zero():
             failures.append((p, alpha, 0))
         for j in range(1, alpha):
-            if not relation_F(group, j).is_zero():
+            if not values[j].is_zero():
                 failures.append((p, alpha, j))
     _criterion(
         5,

@@ -294,6 +294,13 @@ class TestRankVerifyRelations:
         assert done.stderr.startswith(f"error: relations at p = {p}, alpha = {alpha}")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("p,alpha", [("1117", "2"), ("2", "135")])
+    def test_largest_relations_under_the_cap(self, run, p, alpha):
+        # 8 * 1117^2 = 9,981,512 and 4 * 135^3 = 9,841,500: both let through
+        code, out, _ = run("relations", "--p", p, "--alpha", alpha)
+        assert code == 0
+        assert out.endswith(" all vanish\n")
+
     def test_relations_json(self, run):
         code, out, _ = run("relations", "--p", "3", "--alpha", "3", "--format", "json")
         payload = json.loads(out)

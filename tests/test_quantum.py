@@ -1,13 +1,13 @@
 import pytest
 
+from greenring import quantum
 from greenring.core_ring import GroupSpec, basis_element, chi, zero
 from greenring.quantum import (
     IntPolynomial,
     eval_at_element,
     quantum_closed_form,
     quantum_number,
-    relation_F,
-    relation_F0,
+    relations,
 )
 
 # the published table of the first quantum numbers, constant term first
@@ -118,27 +118,42 @@ class TestRelations:
         "p,alpha", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]
     )
     def test_relation_F_vanishes(self, p, alpha):
-        group = GroupSpec(p, alpha)
+        values = relations(GroupSpec(p, alpha))
         for j in range(1, alpha):
-            assert relation_F(group, j).is_zero(), (p, alpha, j)
+            assert values[j].is_zero(), (p, alpha, j)
 
     @pytest.mark.parametrize("p,alpha", [(2, 1), (2, 3), (3, 2), (5, 3), (7, 2)])
     def test_relation_F0_vanishes(self, p, alpha):
-        assert relation_F0(GroupSpec(p, alpha)).is_zero()
-
-    def test_level_out_of_range(self):
-        with pytest.raises(ValueError):
-            relation_F(GroupSpec(3, 2), 2)
+        assert relations(GroupSpec(p, alpha))[0].is_zero()
 
     @pytest.mark.parametrize("p,alpha", [(2, 4), (3, 3), (5, 2)])
     def test_descent_equals_v_difference(self, p, alpha):
         # the recursive middle element of F_j is V_{p^j} - V_{p^j - 1}
-        from greenring.quantum import _descent
-
         group = GroupSpec(p, alpha)
-        for j in range(alpha):
+        for j, (_, _, descent) in enumerate(quantum._levels(group)):
             pj = p**j
             expected = basis_element(group, pj)
             if pj > 1:
                 expected = expected - basis_element(group, pj - 1)
-            assert _descent(group, j) == expected
+            assert descent == expected
+
+    def test_one_pass_over_the_levels(self, monkeypatch):
+        # D_j is carried forward, and [p], [p - 1] at chi_j are U-elements:
+        # 2 alpha - 1 ring products and no quantum-number recurrence
+        counts = {"mul": 0, "eval": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(quantum, "mul", counting("mul", quantum.mul))
+        monkeypatch.setattr(
+            quantum, "eval_at_element", counting("eval", quantum.eval_at_element)
+        )
+        values = relations(GroupSpec(2, 40))
+        assert len(values) == 40 and all(v.is_zero() for v in values)
+        assert counts["mul"] <= 2 * 40 - 1
+        assert counts["eval"] == 0
