@@ -51,6 +51,24 @@ nonzero row (earlier columns have lower degree, so the multiplier is a
 power of t).  Column j ending with lowest row i pairs generator x^i with
 relation j: one Jordan block of size s + j - i.  The cost does not
 depend on s.
+
+Write a_j for column j of A and L for the r x r down-shift.  Reduced
+column j lies in a_j + span(a_0 .. a_(j-1)), up to a unit, and the index
+of its lowest nonzero row is the least that index takes over that coset:
+the earlier reduced columns end at distinct rows, none of them its own,
+so adding any combination of them ends at the largest row involved.
+Any start in the coset therefore gives the same blocks.  A = (1 - L)^s mod L^r is a polynomial in L, so
+L A v = A L v and a_j = L a_(j-1); L times reduced column j - 1 lies in
+a_j + span(a_1 .. a_(j-1)), and ``jordan_type`` starts column j there.
+Over the 4,546 pairs of the default-budget sweeps of (3,4) and (7,2)
+that takes 39,289 reduction steps, against 211,769 from a_j.  A is
+unitriangular, so such a start is never zero.
+
+Owners are kept as reduced, not scaled to 1 at their lowest row.  A
+step replaces col by d col - c own, with d = own[low] and c = col[low]:
+row low clears with no modular inverse, and scaling by the unit d moves
+no lowest row.  Columns are plain int lists of about 25 entries, where
+numpy's per-call overhead would outweigh its arithmetic.
 """
 
 from __future__ import annotations
@@ -58,10 +76,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .digits import VerificationError, is_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 16384
 
@@ -71,7 +91,9 @@ class BudgetExceeded(ValueError):
 
 
 def _require_prime(p: int) -> None:
-    # Elimination forms a - b*c with a, b, c in 0..p-1 in int64.
+    # The dense path and rank_fp eliminate in int64, forming a - b*c with
+    # a, b, c in 0..p-1; jordan_type works in Python ints but refuses the
+    # same moduli, so every oracle entry accepts the same p.
     if p * (p - 1) >= 2**63:
         raise ValueError(f"modulus {p} too large: p*(p-1) must be below the int64 limit 2^63")
     if not is_prime(p):
@@ -101,6 +123,8 @@ class JordanType:
 
 def _jordan_block(n: int) -> np.ndarray:
     """Unipotent Jordan block: identity plus ones on the subdiagonal."""
+    import numpy as np
+
     return np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
 
 
@@ -108,6 +132,8 @@ def tensor_generator_matrix(
     p: int, r: int, s: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """The rs x rs matrix J_r(1) (x) J_s(1) over F_p, entries in 0..p-1."""
+    import numpy as np
+
     _require_prime(p)
     if r < 1 or s < 1:
         raise ValueError("block sizes must be at least 1")
@@ -119,6 +145,8 @@ def tensor_generator_matrix(
 def _rank_mod_p(work: np.ndarray, p: int) -> int:
     """Row-echelon rank of an int64 array, reducing `work` in place: its
     first `rank` rows end as an echelon basis of the original row space."""
+    import numpy as np
+
     rows, cols = work.shape
     rank = 0
     for c in range(cols):
@@ -144,6 +172,8 @@ def _rank_mod_p(work: np.ndarray, p: int) -> int:
 def rank_fp(p: int, entries) -> int:
     """Rank over F_p of a two-dimensional integer array, by exact Gaussian
     elimination after reducing the entries mod p."""
+    import numpy as np
+
     _require_prime(p)
     array = np.asarray(entries, dtype=np.int64)
     if array.ndim != 2:
@@ -160,6 +190,8 @@ def _times_nilpotent(basis: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
     sum of three copies of it shifted by one step: along r, along s, and
     along both.  No dense product is formed.
     """
+    import numpy as np
+
     rows = basis.reshape(-1, r, s)
     out = np.zeros_like(rows)
     out[:, :-1, :] += rows[:, 1:, :]
@@ -176,6 +208,8 @@ def jordan_type_dense(
     Cubic in r*s per power of N; intended for modest sizes and as the
     cross-check for :func:`jordan_type`.
     """
+    import numpy as np
+
     nilpotent = tensor_generator_matrix(p, r, s, budget=budget)
     n = r * s
     identity = np.eye(n, dtype=np.int64)
@@ -211,9 +245,10 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
     """Exact Jordan type of V_r (x) V_s over F_p.
 
     Reduces the scalar presentation matrix A of the module docstring,
-    whose column j holds (-1)^k C(s, k) mod p at row j + k.  Every step
-    must lower the column's lowest nonzero row, so a column needs at most
-    r steps.
+    whose column j holds (-1)^k C(s, k) mod p at row j + k, starting each
+    column from the one before it, reduced and shifted down a row.  Every
+    step must lower the column's lowest nonzero row, so a column needs at
+    most r steps.
     """
     _require_prime(p)
     if r < 1 or s < 1:
@@ -225,22 +260,32 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
     if r == 1:
         return JordanType((s,))
 
-    coeffs = np.array([(-1) ** k * math.comb(s, k) % p for k in range(r)], dtype=np.int64)
-    owner: dict[int, np.ndarray] = {}  # lowest row -> reduced column, 1 there
+    # Columns are lists cut after their lowest nonzero row.  Column 0 is
+    # a_0; column j starts from the reduced column j - 1 shifted down one
+    # row, the last row falling off.
+    col = [(-1) ** k * math.comb(s, k) % p for k in range(r)]
+    owner: dict[int, list[int]] = {}  # lowest row -> reduced column ending there
     blocks: list[int] = []
     for j in range(r):
-        col = np.zeros(r, dtype=np.int64)
-        col[j:] = coeffs[: r - j]
-        low = int(col.nonzero()[0][-1])  # col[j] == 1, so it exists
+        if j:
+            col = [0] + col[: r - 1]
+        while col and not col[-1]:
+            col.pop()
+        if not col:
+            raise VerificationError(f"start of column {j} is zero for p={p}, r={r}, s={s}")
+        low = len(col) - 1
         while low in owner:
-            col = (col - col[low] * owner[low]) % p
-            nz = col.nonzero()[0]
-            if nz.size == 0 or nz[-1] >= low:
+            own = owner[low]
+            d, c = own[low], col[low]
+            col = [(d * x - c * y) % p for x, y in zip(col, own)]
+            while col and not col[-1]:
+                col.pop()
+            if len(col) > low or not col:
                 raise VerificationError(
                     f"presentation reduction stalled at row {low} for p={p}, r={r}, s={s}"
                 )
-            low = int(nz[-1])
-        owner[low] = col * pow(int(col[low]), p - 2, p) % p
+            low = len(col) - 1
+        owner[low] = col
         blocks.append(s + j - low)
 
     jt = JordanType(tuple(blocks))

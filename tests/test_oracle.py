@@ -1,11 +1,19 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenring
 from greenring import core_ring, oracle
 from greenring.digits import VerificationError
 from greenring.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     JordanType,
     _rank_mod_p,
@@ -19,6 +27,10 @@ from greenring.oracle import (
 
 # A prime with p*(p-1) >= 2^63, beyond what int64 elimination can hold.
 INT64_UNSAFE_PRIME = 4294967311
+
+# sha256 of one line "p r s blocks..." per pair of the default-budget sweeps
+# of (3,4), (7,2), (5,3) and (2,7), lines joined by newlines.
+SWEEP_DIGEST = "1f25a4ed0725d3a3bbc30eba7856c5e72fe8045a8a25846c4992e25cc6887a19"
 
 
 class TestGeneratorMatrix:
@@ -139,6 +151,24 @@ class TestJordanType:
         if r * s <= 300:
             assert expected == jordan_type_dense(p, r, s)
 
+    def test_sweep_digest_pinned(self):
+        lines = []
+        for p, alpha in ((3, 4), (7, 2), (5, 3), (2, 7)):
+            q = p**alpha
+            for s in range(1, min(q, DEFAULT_BUDGET) + 1):
+                for r in range(1, min(s, DEFAULT_BUDGET // s) + 1):
+                    blocks = jordan_type(p, r, s).blocks
+                    lines.append(f"{p} {r} {s} " + " ".join(map(str, blocks)))
+        assert len(lines) == 20677
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_DIGEST
+
+    @pytest.mark.parametrize("p,top", [(2**31 - 1, 40), (61, 30)])
+    def test_large_p_is_clebsch_gordan(self, p, top):
+        # for p >= r + s - 1 the blocks are r+s-1, r+s-3, ..., s-r+1
+        for s in range(1, top + 1):
+            for r in range(1, s + 1):
+                assert jordan_type(p, r, s).blocks == tuple(range(r + s - 1, s - r, -2))
+
     def test_multiplicity_formula_sanity(self):
         # number of blocks = rank(N^0) - rank(N^1)
         p, r, s = 3, 5, 7
@@ -215,3 +245,47 @@ class TestShiftedProduct:
         monkeypatch.setattr(oracle, "_times_nilpotent", without_corner)
         with pytest.raises(VerificationError, match="shifted product"):
             jordan_type_dense(3, 2, 2)
+
+
+def _run_python(*args):
+    src = str(Path(greenring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_zero_start_column_raises_under_optimize():
+    # with C(s, k) read as 0 except at k = r - 1, column 0 ends at the last
+    # row and its shift is zero; the check is a plain if, so it holds
+    # under python -O
+    script = (
+        "import types\n"
+        "from greenring import digits, oracle\n"
+        "oracle.math = types.SimpleNamespace(comb=lambda n, k: int(k == 2))\n"
+        "try:\n"
+        "    oracle.jordan_type(5, 3, 4)\n"
+        "except digits.VerificationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_python("-O", "-c", script)
+    assert (done.returncode, done.stdout) == (
+        0, "start of column 1 is zero for p=5, r=3, s=4\n"
+    ), done.stderr
+
+
+def test_numpy_loads_only_for_the_dense_path():
+    # the package and every CLI command, verify included, run without
+    # numpy; the dense cross-check and rank_fp load it
+    script = (
+        "import sys\n"
+        "import greenring\n"
+        "print('numpy' in sys.modules)\n"
+        "from greenring import cli, oracle\n"
+        "cli.main(['verify', '--p', '3', '--alpha', '2'])\n"
+        "print('numpy' in sys.modules)\n"
+        "oracle.rank_fp(3, [[1]])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = _run_python("-c", script)
+    assert (done.returncode, done.stdout) == (0, "False\n0 mismatches\nFalse\nTrue\n"), done.stderr
