@@ -3,8 +3,9 @@
 Subcommands: tensor, ubasis, cousins, matrix, trick, rank, verify,
 relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
-Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory
-or an I/O error such as an unwritable --out path.
+Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory,
+recursion too deep (the engine recurses once per digit level) or an I/O
+error such as an unwritable --out path.
 
 The argument parser is built once per process, at the first ``main`` call,
 and reused by every later call; parsing leaves it unchanged.  Each
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

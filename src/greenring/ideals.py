@@ -16,13 +16,16 @@ Every lattice row is sparse from construction to Smith form: a tuple of
 prime-power factor l^k of the coprime part holds l^k nonzero entries in
 all, and the p-part holds q/p one-entry rows; ``rank_report`` refuses an
 l^k or a q/p above ``MAX_FACTOR_ORDER`` before it builds anything.
+The Smith form pivots once per row, in input order, on a +-1 entry.  A
+factor's rows have pairwise disjoint supports (cosets of one subgroup, or
+single columns), each holding a +-1, so no pivot fills anything in and
+the order needs no choosing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import heapq
 import math
 
 from .core_ring import GroupSpec, mul
@@ -84,17 +87,27 @@ class LatticeBasis:
     """Z-span of integer vectors inside a fixed free module Z^ambient_rank.
 
     Each generator is a tuple of (column, value) pairs over its nonzero
-    entries, in ascending column order; a column outside
-    0..ambient_rank-1 raises ``ValueError``.  The lattices ``rank_report``
-    builds hold at most ``MAX_FACTOR_ORDER`` nonzero entries each.
+    entries, in strictly ascending column order; a zero value, a column
+    out of order or repeated, or one outside 0..ambient_rank-1 raises
+    ``ValueError``.  The lattices ``rank_report`` builds hold at most
+    ``MAX_FACTOR_ORDER`` nonzero entries each.
     """
 
     ambient_rank: int
     generators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if any(not 0 <= j < self.ambient_rank for g in self.generators for j, _ in g):
-            raise ValueError("generator column outside the ambient rank")
+        width = self.ambient_rank
+        for g in self.generators:
+            last = -1
+            for j, v in g:
+                if not 0 <= j < width:
+                    raise ValueError("generator column outside the ambient rank")
+                if j <= last:
+                    raise ValueError("generator columns not strictly ascending")
+                if not v:
+                    raise ValueError("zero value in a generator")
+                last = j
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,37 +243,21 @@ def _smith_dense(mat: list[list[int]]) -> list[int]:
     return out
 
 
-def _row_score(row: dict[int, int], cols: dict[int, set[int]]):
-    """Markowitz pivot of one row: the +-1 entry whose column is held by
-    the fewest rows, as (fill-in bound, column); None without a +-1."""
-    best = None
-    for j, v in row.items():
-        if v == 1 or v == -1:
-            count = len(cols[j])
-            if best is None or count < best[0]:
-                best = (count, j)
-    if best is None:
-        return None
-    return ((len(row) - 1) * (best[0] - 1), best[1])
-
-
 def _invariant_factors(vectors) -> list[int]:
     """Nonzero invariant factors of the span of sparse integer rows, each
     an iterable of (column, nonzero value) pairs.
 
-    Sparse phase first: repeatedly pivot on a +-1 entry chosen by
-    Markowitz's rule, the least (len(row) - 1) * (count(col) - 1), which
-    bounds the fill-in.  These pivots contribute unit factors and keep the
-    arithmetic integer-exact for the incidence-like matrices this module
-    builds.  Rows are dicts under a stable row id, a column index maps each
-    column to the ids of the rows holding it (so a column count is the
-    size of its set and elimination visits only the pivot column's rows),
-    and each row's best score sits in a lazily invalidated heap.  After a
-    pivot only the rows holding one of the pivot row's columns are
-    rescored: those are the modified rows and every row whose column
-    counts changed.  A popped entry that no longer matches its row's
-    current score is skipped.  Whatever has no +-1 entry left goes through
-    the dense routine.
+    Sparse phase first, one pass over the rows in input order: a row still
+    present pivots on its first +-1 entry, that column is cleared from the
+    other rows, and the pivot leaves as one unit factor; the arithmetic
+    stays integer-exact.  Rows are dicts under a stable row id, and a
+    column index maps each column to the ids of the rows holding it, so
+    clearing visits only the pivot column's rows.  Pivot order does not
+    change the factors, since the Smith form is unique; it only changes
+    the fill-in, and every lattice ``rank_report`` builds has rows with
+    pairwise disjoint supports, each holding a +-1, so there is none.  A
+    row with no +-1 entry when its turn comes stays for the dense routine,
+    which takes whatever is left.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -271,25 +268,19 @@ def _invariant_factors(vectors) -> list[int]:
             rows[rid] = row
             for j in row:
                 cols.setdefault(j, set()).add(rid)
-    scores: dict[int, tuple[int, int]] = {}
-    for rid, row in rows.items():
-        score = _row_score(row, cols)
-        if score is not None:
-            scores[rid] = score
-    heap = [(score, rid, j) for rid, (score, j) in scores.items()]
-    heapq.heapify(heap)
     units = 0
-    while heap:
-        score, rid, j = heapq.heappop(heap)
-        if scores.get(rid) != (score, j):
+    for rid in range(len(rows)):
+        pivot = rows.get(rid)
+        if pivot is None:
             continue
-        del scores[rid]
-        pivot = rows.pop(rid)
+        j = next((k for k, v in pivot.items() if v == 1 or v == -1), None)
+        if j is None:
+            continue
+        del rows[rid]
         if pivot[j] == -1:
             pivot = {k: -w for k, w in pivot.items()}
         for k in pivot:
             cols[k].discard(rid)
-        touched = set()
         for other in list(cols[j]):
             row = rows[other]
             c = row[j]
@@ -302,21 +293,9 @@ def _invariant_factors(vectors) -> list[int]:
                 else:
                     del row[k]
                     cols[k].discard(other)
-            if row:
-                touched.add(other)
-            else:
+            if not row:
                 del rows[other]
-                scores.pop(other, None)
         units += 1
-        for k in pivot:
-            touched.update(cols[k])
-        for other in touched:
-            score = _row_score(rows[other], cols)
-            if score is None:
-                scores.pop(other, None)
-            elif scores.get(other) != score:
-                scores[other] = score
-                heapq.heappush(heap, (score[0], other, score[1]))
     factors = [1] * units
     if rows:
         remaining = sorted(j for j, held in cols.items() if held)

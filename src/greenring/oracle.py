@@ -107,7 +107,7 @@ class JordanType:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted((int(b) for b in self.blocks), reverse=True))
+        blocks = tuple(sorted(map(int, self.blocks), reverse=True))
         if blocks and blocks[-1] < 1:
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "blocks", blocks)

@@ -78,6 +78,13 @@ class TestTensor:
         assert done.stderr.startswith("error: q = ")
         assert f"more than {core_ring.MAX_ORDER_BITS} bits" in done.stderr
 
+    def test_recursion_too_deep_is_exit_2(self):
+        # the engine recurses once per digit level: 900 levels at p = 2
+        done = _run_capped("tensor", "3", str(2**900 - 1), "--p", "2", "--alpha", "901")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
     def test_argparse_error_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tensor", "--p", "5", "2"])

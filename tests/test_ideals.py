@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenring
+from greenring import ideals
 from greenring.core_ring import GroupSpec, RingElement, basis_element, mul
 from greenring.digits import is_prime
 from greenring.ideals import (
@@ -115,7 +116,7 @@ class TestSmithNormalForm:
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_cross_check_sparse_phase_against_dense(self, rows):
-        # Cross-check: the heap-driven sparse phase plus dense remainder
+        # Cross-check: the one-pass sparse phase plus dense remainder
         # against the dense routine alone.  The weights towards 0 and +-1
         # make pivots, fill-in and a dense remainder all occur.
         dense = [d for d in _smith_dense([list(r) for r in rows]) if d]
@@ -184,6 +185,15 @@ class TestZRank:
     def test_rejects_column_outside_ambient_rank(self, column):
         with pytest.raises(ValueError):
             LatticeBasis(3, (((0, 1),), ((column, 1),)))
+
+    @pytest.mark.parametrize(
+        "generator", [((0, 0), (1, 1)), ((0, 2), (0, -1)), ((1, 1), (0, 1))]
+    )
+    def test_rejects_zero_value_or_unordered_columns(self, generator):
+        # a zero value used to reach the elimination as a raw KeyError, and
+        # a repeated column was folded by dict() into its last value
+        with pytest.raises(ValueError):
+            LatticeBasis(3, (generator, ((1, 2),)))
 
 
 class TestPrincipalGeneration:
@@ -294,6 +304,23 @@ class TestNonInducedRank:
         assert n - len(factors) == report["quotient_rank"] == euler_phi(n)
         assert report["ideal_rank"] == len(factors)
         assert all(f == 1 for f in factors)
+
+
+class TestSparsePass:
+    def test_library_lattices_never_reach_the_dense_remainder(self, monkeypatch):
+        # Every lattice the library builds is fully pivoted by the one-pass
+        # sparse phase; only TestSmithNormalForm's matrices reach _smith_dense.
+        def refuse(mat):
+            raise AssertionError("dense remainder reached")
+
+        monkeypatch.setattr(ideals, "_smith_dense", refuse)
+        for n in range(1, 201):
+            for p in _characteristics(n):
+                spec = CyclicGroupSpec(n, p)
+                assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
+                assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
+        for p, alpha in [(2, 8), (3, 5), (5, 3), (7, 3)]:
+            assert principal_generation_check(GroupSpec(p, alpha)), (p, alpha)
 
 
 class TestIdealMembership:
