@@ -6,7 +6,7 @@ The modules split along the mathematics:
 * ``core_ring``  - ring elements in the V-basis and the tensor engine
 * ``quantum``    - quantum-number polynomials and presentation relations
 * ``ubasis``     - the U-basis and the change of basis
-* ``ideals``     - induced ideals, Smith normal forms, totient ranks
+* ``ideals``     - induced ideals, certified free ranks, totient ranks
 * ``oracle``     - independent Jordan types over F_p
 * ``digits``     - the pick-a-number digit identity, prime factorization
 * ``cli``        - command-line front end
@@ -17,10 +17,8 @@ from .core_ring import (
     RingElement,
     basis_element,
     chi,
-    chi_power,
     induce,
     mul,
-    mul_chi_V,
     one,
     tensor,
     zero,
@@ -32,34 +30,20 @@ from .digits import (
     trick_certificate,
     trick_set,
 )
-from .ideals import (
-    CyclicGroupSpec,
-    LatticeBasis,
-    cyclotomic,
-    euler_phi,
-    smith_normal_form,
-)
+from .ideals import CyclicGroupSpec, LatticeBasis, smith_normal_form
 from .oracle import JordanType, jordan_type, rank_fp, verify_engine
-from .quantum import (
-    IntPolynomial,
-    eval_at_element,
-    quantum_closed_form,
-    quantum_number,
-    relations,
-)
-from .ubasis import IntMatrix, change_of_basis, cousins, u_element, v_in_u
+from .quantum import relations
+from .ubasis import IntMatrix, change_of_basis, cousins, u_element
 
 __all__ = [
-    "GroupSpec", "RingElement", "basis_element", "chi", "chi_power",
-    "induce", "mul", "mul_chi_V", "one", "tensor", "zero",
+    "GroupSpec", "RingElement", "basis_element", "chi", "induce", "mul",
+    "one", "tensor", "zero",
     "TrickCertificate", "VerificationError", "to_digits", "trick_certificate",
     "trick_set",
-    "CyclicGroupSpec", "LatticeBasis", "cyclotomic", "euler_phi",
-    "smith_normal_form",
+    "CyclicGroupSpec", "LatticeBasis", "smith_normal_form",
     "JordanType", "jordan_type", "rank_fp", "verify_engine",
-    "IntPolynomial", "eval_at_element", "quantum_closed_form",
-    "quantum_number", "relations",
-    "IntMatrix", "change_of_basis", "cousins", "u_element", "v_in_u",
+    "relations",
+    "IntMatrix", "change_of_basis", "cousins", "u_element",
 ]
 
 __version__ = "0.1.0"

@@ -64,10 +64,8 @@ __all__ = [
     "one",
     "basis_element",
     "chi",
-    "mul_chi_V",
     "tensor",
     "mul",
-    "chi_power",
     "induce",
 ]
 

@@ -6,20 +6,21 @@ Z[Y]/(Y^m - 1) on the character basis Y^0..Y^(m-1), and the ideal is
 spanned by the characters induced from the maximal proper subgroups
 (induction is transitive, so maximal subgroups suffice): inducing the
 j-th character of the index-l subgroup gives the sum of Y^i over
-i = j mod m/l.  Ranks and torsion are read off Smith normal forms
-computed in exact integer arithmetic; the headline check is that the
-quotient rank always equals the Euler totient, whichever characteristic
-is chosen.
+i = j mod m/l.  The headline check is that the quotient rank always
+equals the Euler totient, whichever characteristic is chosen.
 
-Every lattice row is sparse from construction to Smith form: a tuple of
-(column, value) pairs over its nonzero entries, columns ascending.  A
-prime-power factor l^k of the coprime part holds l^k nonzero entries in
-all, and the p-part holds q/p one-entry rows; ``rank_report`` refuses an
-l^k or a q/p above ``MAX_FACTOR_ORDER`` before it builds anything.
-The Smith form pivots once per row, in input order, on a +-1 entry.  A
-factor's rows have pairwise disjoint supports (cosets of one subgroup, or
-single columns), each holding a +-1, so no pivot fills anything in and
-the order needs no choosing.
+Every lattice row is sparse: a tuple of (column, value) pairs over its
+nonzero entries, columns ascending.  A prime-power factor l^k of the
+coprime part holds l^k nonzero entries in all, and the p-part holds q/p
+one-entry rows; ``rank_report`` refuses an l^k or a q/p above
+``MAX_FACTOR_ORDER`` before it builds anything.  A factor's rows have
+pairwise disjoint supports (cosets of one subgroup, or single columns),
+each holding a +-1, so they span a direct summand and the factor's
+quotient is free; ``rank_report`` checks exactly that on the rows it
+builds, in one pass over their entries.  The exact Smith normal form
+(``invariant_factors``, ``smith_normal_form``) is off that path: it is the
+labelled cross-check of the certificate and the engine of
+``principal_generation_check``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "invariant_factors",
     "rank_report",
     "principal_generation_check",
-    "euler_phi",
-    "cyclotomic",
     "MAX_FACTOR_ORDER",
 ]
 
@@ -254,10 +253,12 @@ def _invariant_factors(vectors) -> list[int]:
     column index maps each column to the ids of the rows holding it, so
     clearing visits only the pivot column's rows.  Pivot order does not
     change the factors, since the Smith form is unique; it only changes
-    the fill-in, and every lattice ``rank_report`` builds has rows with
-    pairwise disjoint supports, each holding a +-1, so there is none.  A
-    row with no +-1 entry when its turn comes stays for the dense routine,
-    which takes whatever is left.
+    the fill-in.  A row with no +-1 entry when its turn comes stays for the
+    dense routine, which takes whatever is left.
+
+    Callers: ``invariant_factors`` and ``smith_normal_form`` (the tests'
+    cross-checks) and ``principal_generation_check``.  ``rank_report``
+    does not call it.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -309,13 +310,16 @@ def _invariant_factors(vectors) -> list[int]:
 
 
 def invariant_factors(basis: LatticeBasis) -> tuple[int, ...]:
-    """Nonzero invariant factors of the lattice inside its ambient module."""
+    """Nonzero invariant factors of the lattice inside its ambient module.
+
+    Cross-check of the freeness certificate ``rank_report`` checks on each
+    factor; the rank path does not call it."""
     return tuple(_invariant_factors(basis.generators))
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, d_1 | d_2 | ..., zeros included
-    up to min(rows, cols)."""
+    up to min(rows, cols).  A cross-check: the rank path does not call it."""
     factors = _invariant_factors(
         [(j, v) for j, v in enumerate(row) if v] for row in mat.entries
     )
@@ -324,7 +328,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
 
 
 # A factor of order l^k is one sparse lattice with l^k nonzero entries:
-# rank 2^20 --p 3 peaks near 700 MB.  The p-part holds q/p entries, one a
+# rank 2^20 --p 3 peaks near 210 MB.  The p-part holds q/p entries, one a
 # row.  Factoring stops at the cap too, so refusing a huge prime factor
 # costs at most 2^20 trial divisions, and phi(n) is taken from the same
 # factorization.  The report lists its n - phi(n) unit invariant factors,
@@ -334,6 +338,29 @@ MAX_FACTOR_ORDER = 2**20
 MAX_REPORT_RANK = 2**24
 
 
+def _free_quotient_rank(basis: LatticeBasis) -> int:
+    """Rank of the quotient of Z^ambient_rank by the rows, certified free.
+
+    The rows must have pairwise disjoint supports, each holding a +-1.
+    Each row then clears to a unit vector at its +-1 column, using the
+    unit vectors of the other columns; so the rows and those unit vectors
+    form a unimodular basis, the rows span a direct summand, and the
+    quotient is free of rank ambient_rank - len(rows).  Either condition
+    failing raises ``VerificationError``.
+    """
+    order = basis.ambient_rank
+    seen: set[int] = set()
+    for g in basis.generators:
+        row = dict(g)
+        if 1 not in row.values() and -1 not in row.values():
+            raise VerificationError(f"the factor of order {order} has a row with no +-1")
+        before = len(seen)
+        seen.update(row)
+        if len(seen) - before != len(row):
+            raise VerificationError(f"the factor of order {order} has rows sharing a column")
+    return order - len(basis.generators)
+
+
 def rank_report(spec: CyclicGroupSpec) -> dict:
     """JSON-ready summary of the rank computation for one (n, p).
 
@@ -341,8 +368,9 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
     (Chinese remainder theorem), and the induced ideal is the sum of each
     factor's ideal tensored with the other factors.  Tensor products are
     right exact, so the quotient is the tensor product of the factors'
-    quotients: one small Smith form per factor, ranks multiplied.  The
-    all-unit invariant factors need torsion-free factors: checked, not assumed.
+    quotients, ranks multiplied.  The all-unit invariant factors need free
+    factors: each factor's rows are certified by ``_free_quotient_rank``,
+    which also counts the rank, so no totient formula enters it.
     A factor order l^k of m, or a p-part row count q/p, above
     ``MAX_FACTOR_ORDER``, or an ideal rank n - phi(n) above
     ``MAX_REPORT_RANK``, raises ``ValueError`` before any lattice is built.
@@ -372,10 +400,7 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
         factors.append(induced_ideal_q(GroupSpec(spec.p, spec.alpha)))
     quotient_rank = 1
     for basis in factors:
-        found = invariant_factors(basis)
-        if any(f != 1 for f in found):
-            raise VerificationError(f"torsion in the factor of order {basis.ambient_rank}")
-        quotient_rank *= basis.ambient_rank - len(found)
+        quotient_rank *= _free_quotient_rank(basis)
     ideal_rank = spec.n - quotient_rank
     return {
         "n": spec.n,

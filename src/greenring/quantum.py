@@ -17,13 +17,7 @@ import math
 from .core_ring import GroupSpec, RingElement, chi, mul, one, zero
 from .ubasis import u_element
 
-__all__ = [
-    "IntPolynomial",
-    "quantum_number",
-    "quantum_closed_form",
-    "eval_at_element",
-    "relations",
-]
+__all__ = ["relations"]
 
 
 @dataclasses.dataclass(frozen=True, init=False)

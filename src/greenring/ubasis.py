@@ -27,7 +27,6 @@ __all__ = [
     "IntMatrix",
     "u_element",
     "cousins",
-    "v_in_u",
     "curly_u",
     "change_of_basis",
     "render_matrix",

@@ -269,15 +269,19 @@ class TestNonInducedRank:
             assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
 
     def test_torsion_in_a_factor_is_a_verification_failure(self):
-        # The product assembly assumes torsion-free factors; a factor with
-        # a non-unit invariant factor must raise, also under python -O.
+        # The product assembly needs free factors, certified from the rows:
+        # rows sharing a column (here spanning a sublattice of index 2) or
+        # a row with no +-1 must raise, also under python -O.
         script = (
             "from greenring import ideals\n"
-            "ideals.invariant_factors = lambda basis: (2,)\n"
-            "try:\n"
-            "    ideals.rank_report(ideals.CyclicGroupSpec(12, 2))\n"
-            "except ideals.VerificationError as exc:\n"
-            "    print(exc)\n"
+            "shared = (((0, 1), (1, 1)), ((0, 1), (1, -1)))\n"
+            "for rows in (shared, (((0, 2),),)):\n"
+            "    basis = ideals.LatticeBasis(3, rows)\n"
+            "    ideals.semisimple_ideal = lambda m, basis=basis: basis\n"
+            "    try:\n"
+            "        ideals.rank_report(ideals.CyclicGroupSpec(12, 2))\n"
+            "    except ideals.VerificationError as exc:\n"
+            "        print(exc)\n"
         )
         src = str(Path(greenring.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -286,7 +290,10 @@ class TestNonInducedRank:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("torsion in the factor"), done.stdout
+        assert done.stdout.splitlines() == [
+            "the factor of order 3 has rows sharing a column",
+            "the factor of order 3 has a row with no +-1",
+        ], done.stdout
 
     @given(
         st.integers(361, 1200).flatmap(
@@ -321,6 +328,30 @@ class TestSparsePass:
                 assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
         for p, alpha in [(2, 8), (3, 5), (5, 3), (7, 3)]:
             assert principal_generation_check(GroupSpec(p, alpha)), (p, alpha)
+
+
+class TestFreenessCertificate:
+    def test_rank_report_runs_no_smith_form(self, monkeypatch):
+        # The rank path reads each factor's rank off its certified rows.
+        def refuse(vectors):
+            raise AssertionError("Smith form reached")
+
+        monkeypatch.setattr(ideals, "_invariant_factors", refuse)
+        for n in range(1, 201):
+            for p in _characteristics(n):
+                spec = CyclicGroupSpec(n, p)
+                assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
+
+    def test_cross_check_certificate_against_smith_form(self):
+        # Cross-check: on every factor lattice rank_report builds up to
+        # order 4096, the certified rows are the Smith form's unit factors.
+        for ell in filter(is_prime, range(2, 4097)):
+            order, alpha = ell, 1
+            while order <= 4096:
+                for basis in semisimple_ideal(order), induced_ideal_q(GroupSpec(ell, alpha)):
+                    rows = order - ideals._free_quotient_rank(basis)
+                    assert invariant_factors(basis) == (1,) * rows, (order, alpha)
+                order, alpha = order * ell, alpha + 1
 
 
 class TestIdealMembership:
