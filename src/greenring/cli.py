@@ -4,8 +4,8 @@ Subcommands: tensor, ubasis, cousins, matrix, trick, rank, verify,
 relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
 Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory,
-recursion too deep (the engine recurses once per digit level) or an I/O
-error such as an unwritable --out path.
+recursion too deep (a guard: the engine walks digit chains in a loop) or an
+I/O error such as an unwritable --out path.
 
 The argument parser is built once per process, at the first ``main`` call,
 and reused by every later call; parsing leaves it unchanged.  Each

@@ -11,37 +11,43 @@ arise from valid inputs and are rejected.
 
 The engine decomposes V_r (x) V_s (with r <= s after swapping) by one
 rule, the digit reduction at the level beta of the leading base-p digit
-of s: s = s0 p^beta + s1 with 1 <= s0 < p, r = r0 p^beta + r1, and the
-remainders' product V_{r1} (x) V_{s1} recursed through the memo.  At
-beta = 0 (s < p) this is the classical C_p decomposition; an exact power
-s = p^beta enters with s0 = 1, s1 = 0 and yields r V_s.
+of s: s = s0 p^beta + s1 with 1 <= s0 < p, r = r0 p^beta + r1, applied to
+the remainders' product V_{r1} (x) V_{s1}.  At beta = 0 (s < p) this is
+the classical C_p decomposition; an exact power s = p^beta enters with
+s0 = 1, s1 = 0 and yields r V_s.  A pair's digit chain is linear, one
+remainders' product per level, so ``_tensor_coeffs`` runs it as a loop:
+it walks down the chain to a memo hit or a zero remainder, dividing
+p^beta down level by level, then builds the levels bottom-up.  No depth
+of chain meets Python's recursion limit, up to the 4,096-bit order cap.
 
 The boundary term of the digit-reduction rule admits several candidate
 readings; they were discriminated empirically against the brute-force
 oracle (``greenring.oracle``), and the reading implemented here survives
 exhaustive sweeps.  See docs/discrepancies.md for the record.
 
-One reduction writes the remainder terms V_{b_j} with b_j < p^beta into
-disjoint blocks between consecutive multiples of p^beta, so they never
-merge; only the terms on multiples of p^beta are summed (see
-``_digit_block``, the one home of the rule's grid terms).
+One reduction copies the whole remainders' product into disjoint blocks
+between consecutive multiples of p^beta with dict.update, unmerged; the
+terms on multiples of p^beta sit in a slot list and overwrite the copies
+of the one remainder term that lands there, V_{p^beta} (see ``_grid``,
+the one home of the rule).
 
 The ring product ``mul`` runs the same reduction on whole elements rather
 than pair by pair.  The rule is linear in the remainders' product, so
 for the terms of a and b that share leading digits r0 and s0 at the top
 level it needs only the aggregated remainder product
-(sum c V_{r1}) (sum d V_{s1}), computed once by recursion, and bilinear
-sums over the two sides for the terms on multiples of p^beta; the spread
-|r1 - s1| enters through |x| = 2 max(0, x) - x.  The pair memo is read
-only where one side of such a digit-group pair has a single term.
+(sum c V_{r1}) (sum d V_{s1}) and four bilinear sums over the two sides
+(``_merge``); the spread |r1 - s1| enters through |x| = 2 max(0, x) - x.
+Each aggregated product is computed once per ``mul`` call, in a table
+local to the call, from an explicit stack.  The pair memo is read only
+where one side of such a digit-group pair has a single term.
 
 All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict.  It keeps every pair a caller asks for
 (``tensor``, and the pair reads of ``mul``), each once, as a read-only
 mapping that ``tensor`` returns without copying.  An interior pair of a
-digit chain, the remainders' product that ``_tensor_reduce`` reads, is
-kept only up to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one
-is computed, used and dropped.  Every computed entry, kept or not, is
+digit chain, a remainders' product that a level reads, is kept only up
+to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one is computed,
+used and dropped.  The per-call table of ``mul`` never enters the memo.  Every computed entry, kept or not, is
 checked for positivity and dimension.  CPython dict operations are atomic
 under the GIL and recomputing an entry is harmless, so no locking is used.
 """
@@ -281,11 +287,11 @@ def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
 # bounded by the p-power envelope of max(r, s).  Values are read-only
 # mappings, shared with every element ``tensor`` returns for the key.
 # Every pair a caller asks for is stored; an interior pair of a digit
-# chain (the remainders' product read by ``_tensor_reduce``) is stored
-# only when r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the
-# larger interior entries hold about half the memo's terms and are almost
-# never read again, so they are computed, checked, used and dropped.  A
-# dimension bound does not depend on p, and caps the interior part at the
+# chain (the remainders' product a level reads) is stored only when
+# r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the larger interior
+# entries hold about half the memo's terms and are almost never read
+# again, so they are computed, checked, used and dropped.  A dimension
+# bound does not depend on p, and caps the interior part at the
 # pairs r <= s with r s <= 2^14 (80,840 of them for each p).
 _TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
 _INTERIOR_KEEP_DIM = 2**14
@@ -307,33 +313,11 @@ def _digit_case(p: int, r0: int, s0: int) -> tuple[bool, int, int]:
     return True, p - s0 - 1, p - s0
 
 
-def _digit_block(
-    p: int, pb: int, r0: int, s0: int, left, right, rest: Mapping[int, int]
-) -> dict[int, int]:
-    """sum c d V_{r0 p^beta + r1} (x) V_{s0 p^beta + s1} over (r1, c) in
-    left and (s1, d) in right, by one level of the digit reduction at
-    pb = p^beta, with r0 <= s0 and 1 <= s0 < p.  Both sides are sorted by
-    remainder; rest is the remainders' product
-    (sum c V_{r1}) (sum d V_{s1}) = sum a_j V_{b_j}.  A single pair
-    passes one term on each side and the product V_{r1} (x) V_{s1}.
-
-    The rule is linear in each pair's weight w = c d and in the
-    remainders' product, so the grid terms on multiples of p^beta are
-    bilinear sums over the two sides:
-    c1 = sum w((r0+s0-p) p^beta + r1 + s1) at V_{p^(beta+1)} when
-    r0 + s0 >= p; weight = sum w(p^beta - r1 - s1); the boundary term
-    sum w max(0, r1 - s1) at V_{(s0-r0) p^beta} (see docs/discrepancies.md),
-    from running sums over the left side in one merge pass; and
-    spread = sum w |r1 - s1| = 2 boundary - sum w(r1 - s1).
-
-    Disjoint blocks: every b_j is at most p^beta, and a remainder term with
-    b_j < p^beta lands at shift + b_j or shift + 2i p^beta +- b_j, inside
-    the open interval (shift + k p^beta, shift + (k+1) p^beta) for k = 0,
-    2i - 1 or 2i.  Those intervals are disjoint and hold no multiple of
-    p^beta, so these terms are written without merging.  Only the multiples
-    of p^beta (the grid terms and the collision term b_j = p^beta) are
-    summed and pruned of zeros."""
-    carry, d1, d2 = _digit_case(p, r0, s0)
+def _merge(left, right) -> tuple[int, int, int, int]:
+    """(sum w, sum w r1, sum w s1, sum w max(0, r1 - s1)) over the pairs
+    of (r1, c) in left and (s1, d) in right, with weight w = c d.  Both
+    sides are sorted by remainder; the boundary sum comes from one merge
+    pass with running sums over the left side."""
     total_c = total_cx = 0
     for x, c in left:
         total_c += c
@@ -349,68 +333,122 @@ def _digit_block(
             below_cx += left[k][0] * left[k][1]
             k += 1
         boundary += d * (total_cx - below_cx - y * (total_c - below_c))
-    sum_w = total_c * total_d
-    sum_wr1 = total_cx * total_d
-    sum_ws1 = total_c * total_dy
+    return total_c * total_d, total_cx * total_d, total_c * total_dy, boundary
+
+
+def _grid(
+    p: int, pb: int, r0: int, s0: int,
+    w: int, wr1: int, ws1: int, boundary: int, rest: Mapping[int, int],
+) -> dict[int, int]:
+    """One level of the digit reduction at pb = p^beta, with r0 <= s0 and
+    1 <= s0 < p: sum w V_{r0 p^beta + r1} (x) V_{s0 p^beta + s1} over
+    pairs (r1, s1) of weight w, given four sums over the pairs, written
+    w = sum w, wr1 = sum w r1, ws1 = sum w s1 and
+    boundary = sum w max(0, r1 - s1), and the remainders' product
+    rest = sum w V_{r1} (x) V_{s1} = sum a_j V_{b_j}.
+    A single pair passes (1, r1, s1, max(0, r1 - s1)); ``mul`` passes the
+    sums of a digit-group pair (``_merge``).  This is the one home of the
+    rule.
+
+    The grid terms sit on shift + k p^beta, shift = (s0 - r0) p^beta, in a
+    slot list indexed by k: the boundary term at k = 0 (see
+    docs/discrepancies.md), spread = sum w |r1 - s1| = 2 boundary - wr1 + ws1
+    at the steps k = 2i, i = 1..d1, and weight = p^beta w - wr1 - ws1 at
+    k = 2i - 1, i = 1..d2; with a carry (r0 + s0 >= p) also
+    c1 = (r0 + s0 - p) p^beta w + wr1 + ws1 at V_{p^(beta+1)}.
+
+    Disjoint blocks: every b_j is at most p^beta, and a remainder term with
+    b_j < p^beta lands at shift + b_j or shift + 2i p^beta +- b_j, inside
+    the open interval (shift + k p^beta, shift + (k+1) p^beta) for k = 0,
+    2i - 1 or 2i.  Those intervals are disjoint and hold no multiple of
+    p^beta, so the whole remainder product is copied in with dict.update,
+    unmerged.  Only the collision term b_j = p^beta lands on the grid, at
+    the odd slots: its copies are overwritten by the slot sums, which
+    include it, and a zero slot removes its copy."""
+    carry, d1, _ = _digit_case(p, r0, s0)
     shift = (s0 - r0) * pb
-    steps = [shift + 2 * i * pb for i in range(1, d1 + 1)]
-    spread = 2 * boundary - sum_wr1 + sum_ws1
-    weight = pb * sum_w - sum_wr1 - sum_ws1
-    c1 = (r0 + s0 - p) * pb * sum_w + sum_wr1 + sum_ws1 if carry else 0
-    grid = [(pb * p, c1), (shift, boundary)]
-    grid += [(step, spread) for step in steps]
-    grid += [(shift + (2 * i - 1) * pb, weight) for i in range(1, d2 + 1)]
+    slots = [2 * boundary - wr1 + ws1, pb * w - wr1 - ws1] * (d1 + 1)
+    slots[0] = boundary if shift else 0
+    if not carry:
+        slots[-1] = 0  # d2 = d1: no weight term at k = 2 d1 + 1
     out: dict[int, int] = {}
+    collide = False
     if rest:
         top = rest.get(pb)
         if top is not None:
-            rest = dict(rest)
-            del rest[pb]
-            grid += [(shift + pb, top)]
-            grid += [(step + sign * pb, top) for step in steps for sign in (1, -1)]
-        for base in [shift] + steps:
+            collide = True
+            for k in range(1, 2 * d1, 2):
+                slots[k] += 2 * top
+            slots[-1] += top
+        steps = range(shift + 2 * pb, shift + (2 * d1 + 1) * pb, 2 * pb)
+        for base in (shift, *steps):
             out.update(zip(map(base.__add__, rest), rest.values()))
         for base in steps:
             out.update(zip(map(base.__sub__, rest), rest.values()))
-    summed: dict[int, int] = {}
-    for idx, c in grid:
-        if idx > 0:
-            summed[idx] = summed.get(idx, 0) + c
-    out.update((idx, c) for idx, c in summed.items() if c)
+    for k, c in enumerate(slots):
+        if c:
+            out[shift + k * pb] = c
+        elif collide:
+            out.pop(shift + k * pb, None)
+    if carry:
+        c1 = (r0 + s0 - p) * pb * w + wr1 + ws1
+        if c1:
+            out[pb * p] = c1
     return out
 
 
-def _tensor_reduce(p: int, r: int, s: int) -> dict[int, int]:
-    """V_r (x) V_s, r <= s, by one level of the digit reduction
-    (``_digit_block`` with one term on each side), with the remainders'
-    product V_{r1} (x) V_{s1} read from the memoized engine."""
-    _, pb = _leading_level(p, s)
+def _tensor_level(p: int, pb: int, r: int, s: int, rest: Mapping[int, int]) -> dict[int, int]:
+    """V_r (x) V_s, r <= s, by one level of the digit reduction at
+    pb = p^beta, the leading level of s, from the remainders' product
+    rest = V_{r1} (x) V_{s1} (empty when r1 s1 = 0)."""
     r0, r1 = divmod(r, pb)
     s0, s1 = divmod(s, pb)
-    rest = _tensor_coeffs(p, r1, s1, r1 * s1 <= _INTERIOR_KEEP_DIM) if r1 and s1 else {}
-    return _digit_block(p, pb, r0, s0, ((r1, 1),), ((s1, 1),), rest)
+    return _grid(p, pb, r0, s0, 1, r1, s1, r1 - s1 if r1 > s1 else 0, rest)
 
 
-def _tensor_coeffs(p: int, r: int, s: int, keep: bool = True) -> Mapping[int, int]:
+def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
     """The decomposition of V_r (x) V_s, read from the memo when present.
-    A newly computed entry is stored as a shared read-only mapping when
-    ``keep`` is true, and returned unstored otherwise.  Both checks run on
-    every newly computed entry, as plain ifs that survive ``python -O``."""
+
+    Otherwise a loop in two passes, with no recursion.  The first walks
+    down the digit chain: each level reads exactly one remainders' product
+    V_{r1} (x) V_{s1}, whose leading level is found by dividing p^beta
+    down, and the walk stops at a memo hit or at r1 s1 = 0.  The second
+    builds the levels bottom-up (``_tensor_level``), each from the one
+    below.  Both checks run on every computed entry, as plain ifs that
+    survive ``python -O``.  The requested entry is stored as a shared
+    read-only mapping; an interior one only when r s <= _INTERIOR_KEEP_DIM."""
     if r > s:
         r, s = s, r
-    key = (p, r, s)
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _tensor_reduce(p, r, s)
-    if min(out.values(), default=1) <= 0:
-        raise VerificationError(f"negative multiplicity at {key}")
-    if sum(map(operator.mul, out, out.values())) != r * s:
-        raise VerificationError(f"dimension lost at {key}")
-    if not keep:
-        return out
-    _TENSOR_CACHE[key] = shared = MappingProxyType(out)
-    return shared
+    rest = _TENSOR_CACHE.get((p, r, s))
+    if rest is not None:
+        return rest
+    _, pb = _leading_level(p, s)
+    chain = []
+    while True:
+        chain.append((r, s, pb))
+        r1, s1 = r % pb, s % pb
+        if not (r1 and s1):
+            rest = {}
+            break
+        r, s = (r1, s1) if r1 <= s1 else (s1, r1)
+        rest = _TENSOR_CACHE.get((p, r, s))
+        if rest is not None:
+            break
+        while pb > s:
+            pb //= p
+    top = chain[0]
+    for level in reversed(chain):
+        r, s, pb = level
+        out = _tensor_level(p, pb, r, s, rest)
+        key = (p, r, s)
+        if min(out.values(), default=1) <= 0:
+            raise VerificationError(f"negative multiplicity at {key}")
+        if sum(map(operator.mul, out, out.values())) != r * s:
+            raise VerificationError(f"dimension lost at {key}")
+        if level is top or r * s <= _INTERIOR_KEEP_DIM:
+            _TENSOR_CACHE[key] = out = MappingProxyType(out)
+        rest = out
+    return rest
 
 
 def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
@@ -426,20 +464,20 @@ def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
     return RingElement._wrap(group, coeffs)
 
 
-def _by_digit(coeffs: Mapping[int, int], pb: int) -> tuple[dict[int, list], list]:
-    """The terms split by leading digit at pb: the groups of two or more
-    terms, as r0 -> [(r1, c), ...] sorted by r1, and the terms alone in
-    their group, as [(r, c), ...]."""
+def _by_digit(terms: tuple, pb: int) -> tuple[dict[int, tuple], list]:
+    """The terms ((r, c), ...), sorted by r, split by leading digit at pb:
+    the groups of two or more terms, as r0 -> ((r1, c), ...) sorted by r1,
+    and the terms alone in their group, as [(r, c), ...]."""
     groups: dict[int, list] = {}
-    for r, c in sorted(coeffs.items()):
+    for r, c in terms:
         groups.setdefault(r // pb, []).append((r, c))
-    multi: dict[int, list] = {}
+    multi: dict[int, tuple] = {}
     single: list = []
-    for r0, terms in groups.items():
-        if len(terms) == 1:
-            single += terms
+    for r0, group in groups.items():
+        if len(group) == 1:
+            single += group
         else:
-            multi[r0] = [(r - r0 * pb, c) for r, c in terms]
+            multi[r0] = tuple((r - r0 * pb, c) for r, c in group)
     return multi, single
 
 
@@ -453,22 +491,30 @@ def _add_pairs(out: dict[int, int], p: int, a, b) -> None:
                 out[idx] = out.get(idx, 0) + w * e
 
 
-def _product(p: int, a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Raw coefficients of the product of two nonzero coefficient maps, by
-    digit groups at the level of their largest index (see ``mul``)."""
-    _, pb = _leading_level(p, max(max(a), max(b)))
+def _split(p: int, pb: int, a: tuple, b: tuple) -> tuple[int, dict[int, int], list]:
+    """The product of two nonempty term tuples a and b, sorted by index,
+    split by digit groups at p^beta, the leading level of their largest
+    index, found by dividing pb down.  Returns p^beta, the sum of the
+    pair-memo terms, and the aggregated digit-group pairs still to add, as
+    (r0, s0, sums, sub): sub is the key of the sub-product the pair needs
+    (None when it is zero), and sums the pair's ``_merge`` sums (None for
+    two groups below p^beta, whose product is the sub-product itself)."""
+    top = max(a[-1][0], b[-1][0])
+    while pb > top:
+        pb //= p
     out: dict[int, int] = {}
-    if len({r // pb for r in a}) == len(a) or len({s // pb for s in b}) == len(b):
+    if len({r // pb for r, _ in a}) == len(a) or len({s // pb for s, _ in b}) == len(b):
         # one side has a single term in every digit group, so no pair of
         # groups aggregates and the grouping can be skipped
-        _add_pairs(out, p, a.items(), b.items())
-        return out
+        _add_pairs(out, p, a, b)
+        return pb, out, []
     multi_a, single_a = _by_digit(a, pb)
     multi_b, single_b = _by_digit(b, pb)
-    _add_pairs(out, p, single_a, b.items())
+    _add_pairs(out, p, single_a, b)
     if single_b and multi_a:
         grouped_a = [(r0 * pb + r1, c) for r0, terms in multi_a.items() for r1, c in terms]
         _add_pairs(out, p, grouped_a, single_b)
+    parts = []
     for digit_a, terms_a in multi_a.items():
         for digit_b, terms_b in multi_b.items():
             if digit_a <= digit_b:
@@ -476,15 +522,47 @@ def _product(p: int, a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, in
             else:
                 r0, s0, left, right = digit_b, digit_a, terms_b, terms_a
             if s0 == 0:
-                part = _product(p, dict(left), dict(right))
-            else:
-                low = {r1: c for r1, c in left if r1}
-                high = {s1: d for s1, d in right if s1}
-                rest = _product(p, low, high) if low and high else {}
-                part = _digit_block(p, pb, r0, s0, left, right, rest)
+                parts.append((0, 0, None, (left, right)))
+                continue
+            low = tuple(term for term in left if term[0])
+            high = tuple(term for term in right if term[0])
+            sub = (low, high) if low and high else None
+            parts.append((r0, s0, _merge(left, right), sub))
+    return pb, out, parts
+
+
+def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
+    """Raw coefficients of the product of two nonempty term tuples
+    ((r, c), ...) sorted by index (see ``mul``).  The table maps a pair of
+    term tuples to their product, so each aggregated product is computed
+    once per call.  A product's sub-products are computed before it, from
+    an explicit stack, so a deep digit chain never meets Python's recursion
+    limit; each sub-product has indices below the p^beta of the product
+    that needs it, which bounds its level."""
+    _, pb = _leading_level(p, max(a[-1][0], b[-1][0]))
+    stack = [((a, b), pb)]
+    table: dict[tuple, dict[int, int]] = {}
+    pending: dict[tuple, tuple] = {}
+    while stack:
+        key, pb = stack[-1]
+        if key in table:
+            stack.pop()
+            continue
+        if key not in pending:
+            pending[key] = split = _split(p, pb, *key)
+            subs = [(sub, split[0]) for *_, sub in split[2] if sub and sub not in table]
+            if subs:
+                stack += subs
+                continue
+        pb, out, parts = pending.pop(key)
+        for r0, s0, sums, sub in parts:
+            rest = table[sub] if sub else {}
+            part = rest if sums is None else _grid(p, pb, r0, s0, *sums, rest)
             for idx, c in part.items():
                 out[idx] = out.get(idx, 0) + c
-    return out
+        table[key] = out
+        stack.pop()
+    return table[a, b]
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
@@ -496,23 +574,33 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     groups (r0, s0), oriented so that r0 <= s0 (the rule is symmetric when
     r0 = s0), the digit reduction is linear in the remainders' product, so
     the sum of V_r (x) V_s c d over the pair needs the aggregated product
-    (sum c V_{r1}) (sum d V_{s1}) once, by recursion, and its shifted and
-    mirrored copies; the collision term V_{p^beta} uses the aggregate's
-    coefficient there.  The grid terms on multiples of p^beta are bilinear
-    sums of the weights w = c d against r1 and s1; the boundary sum
-    sum w max(0, r1 - s1) comes from one sort and running sums, and the
-    spread sum w |r1 - s1| from |x| = 2 max(0, x) - x (``_digit_block``).
-    A pair of groups with a single term on either side is summed from the
-    checked, memoized pair decompositions instead; nothing else reads the
-    pair memo.  Two groups both below p^beta recurse as a product at a
-    lower level.
+    (sum c V_{r1}) (sum d V_{s1}) once and its shifted and mirrored copies;
+    the collision term V_{p^beta} uses the aggregate's coefficient there.
+    The grid terms on multiples of p^beta are bilinear sums of the weights
+    w = c d against r1 and s1; the boundary sum sum w max(0, r1 - s1) comes
+    from one merge pass with running sums, and the spread sum w |r1 - s1|
+    from |x| = 2 max(0, x) - x (``_merge``, ``_grid``).  A pair of groups
+    with a single term on either side is summed from the checked, memoized
+    pair decompositions instead; nothing else reads the pair memo.  Two
+    groups both below p^beta multiply as a product at a lower level.
+
+    The aggregated products live in a table local to the call, keyed by the
+    two sides' sorted (r1, c) tuples: a U_r has the same remainder part
+    under each of its leading digits, so the same product recurs across
+    digit-group pairs and levels, and is computed once.  The table is
+    dropped with the call and never enters the pair memo.  The products are
+    computed from an explicit stack, not by recursion (``_product``).
 
     The result is checked with plain ifs that survive ``python -O``: its
     dimension must be dim a * dim b, and a product of two modules (all
     coefficients positive) must have positive coefficients only."""
     if a.group != b.group:
         raise ValueError("elements live over different groups")
-    out = _product(a.group.p, a.coeffs, b.coeffs) if a.coeffs and b.coeffs else {}
+    out = {}
+    if a.coeffs and b.coeffs:
+        out = _product(
+            a.group.p, tuple(sorted(a.coeffs.items())), tuple(sorted(b.coeffs.items()))
+        )
     product = RingElement(a.group, out)
     if product.dim() != a.dim() * b.dim():
         raise VerificationError(

@@ -15,6 +15,8 @@ package, so the engine-free oracle can share them.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 __all__ = [
     "VerificationError",
@@ -189,23 +191,55 @@ class TrickCertificate:
         }
 
 
+# Digit expansions of a base up to _CHUNK_LIMIT read whole chunks of digits
+# from tables built once per base (``_chunk_tables``); a larger base has few
+# digits per number and expands them one by one.
+_CHUNK_LIMIT = 256
+
+
+@functools.lru_cache(maxsize=None)  # at most one entry per base <= _CHUNK_LIMIT
+def _chunk_tables(base: int) -> tuple[int, tuple, tuple]:
+    """(chunk, padded, leading) for chunk = base^w, the largest power of the
+    base up to _CHUNK_LIMIT.  For x < chunk, padded[x] is (the w digits of
+    x, little-endian and zero-filled, their product of (digit + 1)), and
+    leading[x] the same without the zero fill."""
+    padded = [((), 1)]
+    while len(padded) * base <= _CHUNK_LIMIT:
+        # x = low + len(padded) d: the new digit d goes on top
+        padded = [(ds + (d,), p * (d + 1)) for d in range(base) for ds, p in padded]
+    leading = [((), 1)] + [(to_digits(x, base), p) for x, (_, p) in enumerate(padded) if x]
+    return len(padded), tuple(padded), tuple(leading)
+
+
+def _digit_terms(indices, base: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(j, digits of j - 1, product of (digit + 1)) for each index j."""
+    if base > _CHUNK_LIMIT:
+        expansions = [to_digits(j - 1, base) for j in indices]
+        return [(j, ds, math.prod(d + 1 for d in ds)) for j, ds in zip(indices, expansions)]
+    chunk, padded, leading = _chunk_tables(base)
+    terms = []
+    for j in indices:
+        x, digits, product = j - 1, (), 1
+        while x >= chunk:
+            x, low = divmod(x, chunk)
+            ds, p = padded[low]
+            digits += ds
+            product *= p
+        ds, p = leading[x]
+        terms.append((j, digits + ds, product * p))
+    return terms
+
+
 def trick_certificate(n: int, base: int) -> TrickCertificate:
     """Build and verify the certificate; a sum mismatch raises rather than
     returning a bad witness (it would mean the recursion is misread).
 
-    One pass per index expands j - 1 into its digits and multiplies their
-    successors; the base was checked once by ``trick_set``."""
+    Each index's digits of j - 1 and their product of successors are read
+    from per-base tables of digit chunks (``_digit_terms``); the base was
+    checked once by ``trick_set``."""
     indices = sorted(trick_set(n, base))
-    terms = []
-    total = 0
-    for j in indices:
-        x, digits, product = j - 1, [], 1
-        while x:
-            x, d = divmod(x, base)
-            digits.append(d)
-            product *= d + 1
-        terms.append((j, tuple(digits), product))
-        total += product
+    terms = _digit_terms(indices, base)
+    total = sum(product for _, _, product in terms)
     if total != n:
         raise VerificationError(
             f"digit identity failed for n={n} base={base}: got {total}"

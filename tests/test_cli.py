@@ -78,12 +78,17 @@ class TestTensor:
         assert done.stderr.startswith("error: q = ")
         assert f"more than {core_ring.MAX_ORDER_BITS} bits" in done.stderr
 
-    def test_recursion_too_deep_is_exit_2(self):
-        # the engine recurses once per digit level: 900 levels at p = 2
-        done = _run_capped("tensor", "3", str(2**900 - 1), "--p", "2", "--alpha", "901")
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("error:")
-        assert "Traceback" not in done.stderr
+    def test_deep_digit_chain_answers_exactly(self):
+        # 900 and 4,095 digit levels at p = 2, the second at the order cap
+        for alpha in (901, 4096):
+            s = 2 ** (alpha - 1) - 1
+            done = _run_capped(
+                "tensor", "3", str(s), "--p", "2", "--alpha", str(alpha), "--format", "json"
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            coeffs = {int(k): v for k, v in json.loads(done.stdout)["coeffs"].items()}
+            assert sum(k * v for k, v in coeffs.items()) == 3 * s
+            assert min(coeffs.values()) > 0
 
     def test_argparse_error_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -355,7 +360,7 @@ class TestVerificationFailure:
 
     def test_exit_1_without_traceback(self, run, monkeypatch):
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_tensor_reduce", lambda p, r, s: {s: r - 1})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, rest: {s: r - 1})
         code, out, err = run("tensor", "--p", "5", "--alpha", "1", "2", "3")
         assert (code, out) == (1, "")
         assert err.startswith("error: dimension lost")
@@ -365,7 +370,7 @@ class TestVerificationFailure:
         script = (
             "from greenring import core_ring, digits\n"
             "core_ring._TENSOR_CACHE.clear()\n"
-            "core_ring._tensor_reduce = lambda p, r, s: {s: r - 1}\n"
+            "core_ring._tensor_level = lambda p, pb, r, s, rest: {s: r - 1}\n"
             "try:\n"
             "    core_ring.tensor(core_ring.GroupSpec(5, 1), 2, 3)\n"
             "except digits.VerificationError:\n"

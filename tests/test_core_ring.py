@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -285,7 +286,7 @@ class TestSharedMemoEntry:
         # {6: 1} for (2, 3) is positive and has dimension 6, so only the
         # index check can catch it
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_tensor_reduce", lambda p, r, s: {6: 1})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, rest: {6: 1})
         with pytest.raises(ValueError, match="index 6 exceeds q = 5"):
             tensor(GroupSpec(5, 1), 2, 3)
 
@@ -414,6 +415,59 @@ class TestMulCrossCheck:
         for a, b in zip(units, units[1:]):
             assert mul(a, b) == _pairwise(a, b)
 
+    def test_u_element_path_equals_pairs_and_leaves_only_pair_reads(self, monkeypatch):
+        # all 24 U_r at (5,5) with r - 1 of base-5 digits (d0, perm(1, 2, 3), 2),
+        # each times the next: mul's per-call table of aggregated products
+        # changes no answer, and the pair memo ends up holding exactly what
+        # mul's own pair reads store
+        group = GroupSpec(5, 5)
+        units = [
+            u_element(group, 1 + sum(d * 5**i for i, d in enumerate((d0, *perm, 2))))
+            for d0 in range(4)
+            for perm in itertools.permutations((1, 2, 3))
+        ]
+        pairs = list(zip(units, units[1:]))
+        reads = []
+        tensor_coeffs = core_ring._tensor_coeffs
+
+        def recorded(p, r, s):
+            reads.append((p, r, s))
+            return tensor_coeffs(p, r, s)
+
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_coeffs", recorded)
+        products = [mul(a, b) for a, b in pairs]
+        after_mul = core_ring._TENSOR_CACHE
+        monkeypatch.setattr(core_ring, "_tensor_coeffs", tensor_coeffs)
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        for key in reads:
+            tensor_coeffs(*key)
+        assert reads and after_mul == core_ring._TENSOR_CACHE
+        for (a, b), product in zip(pairs, products):
+            assert product == _pairwise(a, b)
+
+
+class TestDeepChains:
+    """mul computes its aggregated products from an explicit stack, so a
+    digit chain as deep as the 4,096-bit order cap answers exactly (the
+    pair engine's loop is tested through the CLI, test_cli.py)."""
+
+    @staticmethod
+    def _x(group, a):
+        return V(group, (2**a - 1, 1), (2**a - 3, 1))
+
+    def test_mul_equals_pairs_at_small_depth(self):
+        for a in range(2, 40):
+            group = GroupSpec(2, a)
+            x = self._x(group, a)
+            assert mul(x, x) == _pairwise(x, x), a
+
+    def test_mul_answers_at_4095_levels(self):
+        x = self._x(GroupSpec(2, 4096), 4095)
+        product = mul(x, x)
+        assert product.dim() == x.dim() ** 2
+        assert min(product.coeffs.values()) > 0
+
 
 class TestMulAlgebra:
     """Ring laws on signed multi-term elements; they exercise the
@@ -453,18 +507,19 @@ def _run_optimized(script):
 class TestMulChecks:
     """mul checks its product with plain ifs that hold under python -O.
     The factors are modules whose only digit-group pair (digits 3 and 2
-    at p^beta = 5) has three terms on each side, so the patched grid
-    helper acts on the aggregated branch only; pair entries stay exact."""
+    at p^beta = 5) has three terms on each side, of total weight 20, so
+    the patched grid helper acts on the aggregated branch only (a single
+    pair passes weight 1); pair entries stay exact."""
 
     _SCRIPT = (
         "from greenring import core_ring, digits\n"
-        "block = core_ring._digit_block\n"
-        "def patched(p, pb, r0, s0, left, right, rest):\n"
-        "    out = block(p, pb, r0, s0, left, right, rest)\n"
-        "    if len(left) > 1 and len(right) > 1:\n"
+        "grid = core_ring._grid\n"
+        "def patched(p, pb, r0, s0, w, wr1, ws1, boundary, rest):\n"
+        "    out = grid(p, pb, r0, s0, w, wr1, ws1, boundary, rest)\n"
+        "    if w > 1:\n"
         "{edit}"
         "    return out\n"
-        "core_ring._digit_block = patched\n"
+        "core_ring._grid = patched\n"
         "G = core_ring.GroupSpec(5, 2)\n"
         "a = core_ring.RingElement(G, {{16: 1, 17: 2, 18: 1}})\n"
         "b = core_ring.RingElement(G, {{11: 1, 12: 3, 14: 1}})\n"
@@ -643,13 +698,13 @@ class TestMemoRetention:
 
     _SCRIPT = (
         "from greenring import core_ring, digits\n"
-        "reduce = core_ring._tensor_reduce\n"
-        "def patched(p, r, s):\n"
-        "    out = reduce(p, r, s)\n"
+        "level = core_ring._tensor_level\n"
+        "def patched(p, pb, r, s, rest):\n"
+        "    out = level(p, pb, r, s, rest)\n"
         "    if (r, s) == (150, 200):\n"
         "        del out[max(out)]\n"
         "    return out\n"
-        "core_ring._tensor_reduce = patched\n"
+        "core_ring._tensor_level = patched\n"
         "try:\n"
         "    core_ring.tensor(core_ring.GroupSpec(5, 7), {r}, {s})\n"
         "except digits.VerificationError as exc:\n"
@@ -657,16 +712,16 @@ class TestMemoRetention:
     )
 
     def test_lost_dimension_on_a_dropped_entry_raises(self, monkeypatch):
-        reduce = core_ring._tensor_reduce
+        level = core_ring._tensor_level
 
-        def patched(p, r, s):
-            out = reduce(p, r, s)
+        def patched(p, pb, r, s, rest):
+            out = level(p, pb, r, s, rest)
             if (r, s) == (150, 200):
                 del out[max(out)]
             return out
 
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_tensor_reduce", patched)
+        monkeypatch.setattr(core_ring, "_tensor_level", patched)
         with pytest.raises(VerificationError, match=r"dimension lost at \(5, 150, 200\)"):
             tensor(self.G57, self.R, self.S)
 
