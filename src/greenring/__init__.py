@@ -4,12 +4,17 @@ characteristic p, validated against a brute-force linear-algebra oracle.
 The modules split along the mathematics:
 
 * ``core_ring``  - ring elements in the V-basis and the tensor engine
-* ``quantum``    - quantum-number polynomials and presentation relations
+* ``quantum``    - presentation relations, quantum numbers at an element
 * ``ubasis``     - the U-basis and the change of basis
 * ``ideals``     - induced ideals, certified free ranks, totient ranks
 * ``oracle``     - independent Jordan types over F_p
 * ``digits``     - the pick-a-number digit identity, prime factorization
 * ``cli``        - command-line front end
+
+The package holds what the library and the command line run.  The
+closed forms that only cross-check it (quantum numbers as polynomials,
+chi powers, the chi column rule) live with the tests, in
+``tests/crosschecks.py``.
 """
 
 from .core_ring import (

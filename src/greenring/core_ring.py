@@ -50,12 +50,16 @@ to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one is computed,
 used and dropped.  The per-call table of ``mul`` never enters the memo.  Every computed entry, kept or not, is
 checked for positivity and dimension.  CPython dict operations are atomic
 under the GIL and recomputing an entry is harmless, so no locking is used.
+
+The closed forms that cross-check the engine, chi_k . V_s by the column
+rule and chi_i^s by the binomial sum, live with the tests
+(``tests/crosschecks.py``).  ``RingElement.to_json_dict`` is the one
+serialisation, the command line's json output; nothing reads it back.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import operator
 from types import MappingProxyType
@@ -210,18 +214,6 @@ class RingElement:
             "coeffs": {str(i): self.coeffs[i] for i in sorted(self.coeffs)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> RingElement:
-        group = GroupSpec(int(data["p"]), int(data["alpha"]))
-        return RingElement(group, {int(k): int(v) for k, v in data["coeffs"].items()})
-
-    @staticmethod
-    def from_json(text: str) -> RingElement:
-        return RingElement.from_json_dict(json.loads(text))
-
 
 def zero(group: GroupSpec) -> RingElement:
     return RingElement(group, {})
@@ -244,42 +236,6 @@ def chi(group: GroupSpec, k: int) -> RingElement:
         raise ValueError(f"level {k} outside 0..{group.alpha - 1}")
     pk = group.p**k
     return RingElement(group, {pk + 1: 1, pk - 1: -1})
-
-
-def _chi_column(p: int, k: int, s: int) -> dict[int, int]:
-    """Raw coefficients of chi_k . V_s for 1 <= s <= p^(k+1), the column
-    rule behind ``mul_chi_V``.
-
-    Three ranges; nonpositive indices vanish and colliding indices merge
-    (both happen at the range boundaries, e.g. s = p^(k+1)).  For p = 2
-    the middle range is empty and s = 2^k falls through to the first.
-    """
-    pk = p**k
-    pk1 = pk * p
-    if not 1 <= s <= pk1:
-        raise ValueError(f"index {s} outside 1..{pk1} for level {k}")
-    if s <= pk:
-        terms = ((s + pk, 1), (pk - s, -1))
-    elif s < (p - 1) * pk:
-        terms = ((s + pk, 1), (s - pk, 1))
-    else:
-        terms = ((s - pk, 1), (pk1, 2), (2 * pk1 - (s + pk), -1))
-    out: dict[int, int] = {}
-    for idx, c in terms:
-        if idx > 0:
-            out[idx] = out.get(idx, 0) + c
-    return {idx: c for idx, c in out.items() if c}
-
-
-def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
-    """Decomposition of chi_k . V_s, valid for 1 <= s <= p^(k+1).
-
-    Closed-form cross-check of the tensor engine (column rule against the
-    digit reduction): only the tests call it, the library does not.
-    """
-    if not 0 <= k < group.alpha:
-        raise ValueError(f"level {k} outside 0..{group.alpha - 1}")
-    return RingElement(group, _chi_column(group.p, k, s))
 
 
 # Tensor memo: key (p, r, s) with r <= s; the decomposition of
@@ -613,32 +569,6 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     ):
         raise VerificationError("negative multiplicity in a product of modules")
     return product
-
-
-def chi_power(group: GroupSpec, i: int, s: int) -> RingElement:
-    """chi_i^s, 0 < s < p, by the binomial closed form.
-
-    Summand nu contributes binom(s, nu) (V_{e p^i + 1} - V_{e p^i - 1})
-    with e = s - 2 nu; terms whose index falls to zero or below vanish, so
-    negative e contributes nothing and e = 0 leaves the central
-    binom(s, s/2) V_1.
-
-    Closed-form cross-check of repeated ``mul`` by chi_i: only the tests
-    call it, the library does not.
-    """
-    if not 0 <= i < group.alpha:
-        raise ValueError(f"level {i} outside 0..{group.alpha - 1}")
-    if not 0 < s < group.p:
-        raise ValueError(f"exponent {s} outside 1..{group.p - 1}")
-    pi = group.p**i
-    out: dict[int, int] = {}
-    for nu in range(s + 1):
-        coeff = math.comb(s, nu)
-        e = s - 2 * nu
-        for idx, sign in ((e * pi + 1, 1), (e * pi - 1, -1)):
-            if idx > 0:
-                out[idx] = out.get(idx, 0) + sign * coeff
-    return RingElement(group, out)
 
 
 def induce(group: GroupSpec, beta: int, r: int) -> RingElement:

@@ -7,7 +7,9 @@ spanned by the characters induced from the maximal proper subgroups
 (induction is transitive, so maximal subgroups suffice): inducing the
 j-th character of the index-l subgroup gives the sum of Y^i over
 i = j mod m/l.  The headline check is that the quotient rank always
-equals the Euler totient, whichever characteristic is chosen.
+equals the Euler totient, whichever characteristic is chosen;
+``rank_report`` takes phi(n) from its own factorization, and the tests
+compare it with an independent totient.
 
 Every lattice row is sparse: a tuple of (column, value) pairs over its
 nonzero entries, columns ascending.  A prime-power factor l^k of the
@@ -20,18 +22,18 @@ quotient is free; ``rank_report`` checks exactly that on the rows it
 builds, in one pass over their entries.  The exact Smith normal form
 (``invariant_factors``, ``smith_normal_form``) is off that path: it is the
 labelled cross-check of the certificate and the engine of
-``principal_generation_check``.
+``principal_generation_check``.  ``ideal_lattice``, the whole n-wide
+ideal in one lattice, is the tests' cross-check of the factor-by-factor
+route and is not exported.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 from .core_ring import GroupSpec, mul
 from .digits import VerificationError, is_prime, prime_factors
-from .quantum import IntPolynomial
 from .ubasis import IntMatrix, u_element
 
 __all__ = [
@@ -39,46 +41,12 @@ __all__ = [
     "CyclicGroupSpec",
     "induced_ideal_q",
     "semisimple_ideal",
-    "ideal_lattice",
     "smith_normal_form",
     "invariant_factors",
     "rank_report",
     "principal_generation_check",
     "MAX_FACTOR_ORDER",
 ]
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient via factorization.
-
-    Cross-check of ``rank_report``, which takes phi(n) from its own
-    per-factor factorization: only the tests call this one.
-    """
-    if n < 1:
-        raise ValueError("totient is defined for n >= 1")
-    out = n
-    for p in prime_factors(n):
-        out -= out // p
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial: divide Y^n - 1 by the cyclotomic
-    polynomials of the proper divisors.
-
-    Cross-check of the totient (its degree is phi(n)) and of the
-    factorization of Y^n - 1: only the tests call it, the library does not.
-    """
-    if n < 1:
-        raise ValueError("cyclotomic polynomials are indexed by n >= 1")
-    poly = IntPolynomial(*([-1] + [0] * (n - 1) + [1]))
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = divmod(poly, cyclotomic(d))
-            if not rem.is_zero():
-                raise VerificationError(f"cyclotomic division left a remainder at {n}")
-    return poly
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,0 +1,112 @@
+"""The tests' cross-checks: closed forms that the library does not run.
+
+Each function is a second derivation of something the library computes
+another way, kept here so the tests can compare the two:
+
+* ``quantum_number`` and ``quantum_closed_form``: the quantum-number
+  polynomials [n], by the recurrence and by the alternating binomial sum,
+  as coefficient tuples with the constant term first; ``evaluate`` reads
+  one at an integer;
+* ``chi_power``: chi_i^s by the binomial closed form, against repeated
+  ``mul`` by chi_i;
+* ``mul_chi_V``: chi_k . V_s by the column rule, against the digit
+  reduction of the tensor engine.
+
+The tests import it as ``from crosschecks import ...``; pytest puts this
+directory on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import math
+
+from greenring.core_ring import GroupSpec, RingElement
+
+
+def evaluate(coeffs: tuple[int, ...], x: int) -> int:
+    """The polynomial with these coefficients, constant term first, at x."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def quantum_number(n: int) -> tuple[int, ...]:
+    """The n-th quantum number by the recurrence [n] = [2][n-1] - [n-2].
+
+    [n] has degree n - 1 and leading coefficient 1, so X [n-1] is two
+    coefficients longer than [n-2]; [0] is the empty tuple."""
+    if n < 0:
+        raise ValueError("quantum numbers are indexed by n >= 0")
+    prev, cur = (), (1,)
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, tuple(a - b for a, b in zip((0, *cur), (*prev, 0, 0)))
+    return cur
+
+
+def quantum_closed_form(n: int) -> tuple[int, ...]:
+    """[n] as the alternating binomial sum over X^(n-1-2i).
+
+    The nominal summation bound ceil(n/2) overshoots; summands whose
+    binomial coefficient vanishes are simply zero.
+    """
+    if n < 1:
+        raise ValueError("closed form is stated for n >= 1")
+    out = [0] * n
+    for i in range(math.ceil(n / 2) + 1):
+        e = n - 1 - 2 * i
+        if e < 0 or n - 1 - i < i:
+            continue
+        out[e] = (-1) ** i * math.comb(n - 1 - i, i)
+    return tuple(out)
+
+
+def chi_power(group: GroupSpec, i: int, s: int) -> RingElement:
+    """chi_i^s, 0 < s < p, by the binomial closed form.
+
+    Summand nu contributes binom(s, nu) (V_{e p^i + 1} - V_{e p^i - 1})
+    with e = s - 2 nu; terms whose index falls to zero or below vanish, so
+    negative e contributes nothing and e = 0 leaves the central
+    binom(s, s/2) V_1.
+    """
+    if not 0 <= i < group.alpha:
+        raise ValueError(f"level {i} outside 0..{group.alpha - 1}")
+    if not 0 < s < group.p:
+        raise ValueError(f"exponent {s} outside 1..{group.p - 1}")
+    pi = group.p**i
+    out: dict[int, int] = {}
+    for nu in range(s + 1):
+        coeff = math.comb(s, nu)
+        e = s - 2 * nu
+        for idx, sign in ((e * pi + 1, 1), (e * pi - 1, -1)):
+            if idx > 0:
+                out[idx] = out.get(idx, 0) + sign * coeff
+    return RingElement(group, out)
+
+
+def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
+    """Decomposition of chi_k . V_s for 1 <= s <= p^(k+1), by the column rule.
+
+    Three ranges; nonpositive indices vanish and colliding indices merge
+    (both happen at the range boundaries, e.g. s = p^(k+1)).  For p = 2
+    the middle range is empty and s = 2^k falls through to the first.
+    """
+    if not 0 <= k < group.alpha:
+        raise ValueError(f"level {k} outside 0..{group.alpha - 1}")
+    p = group.p
+    pk = p**k
+    pk1 = pk * p
+    if not 1 <= s <= pk1:
+        raise ValueError(f"index {s} outside 1..{pk1} for level {k}")
+    if s <= pk:
+        terms = ((s + pk, 1), (pk - s, -1))
+    elif s < (p - 1) * pk:
+        terms = ((s + pk, 1), (s - pk, 1))
+    else:
+        terms = ((s - pk, 1), (pk1, 2), (2 * pk1 - (s + pk), -1))
+    out: dict[int, int] = {}
+    for idx, c in terms:
+        out[idx] = out.get(idx, 0) + c
+    return RingElement(group, out)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import totient
 
 import greenring
 from greenring import ideals
@@ -16,8 +17,6 @@ from greenring.ideals import (
     _invariant_factors,
     _smith_dense,
     LatticeBasis,
-    cyclotomic,
-    euler_phi,
     ideal_lattice,
     induced_ideal_q,
     invariant_factors,
@@ -26,39 +25,7 @@ from greenring.ideals import (
     semisimple_ideal,
     smith_normal_form,
 )
-from greenring.quantum import IntPolynomial
 from greenring.ubasis import IntMatrix
-
-
-class TestEulerPhi:
-    @pytest.mark.parametrize("n,phi", [(1, 1), (9, 6), (12, 4), (97, 96), (360, 96)])
-    def test_values(self, n, phi):
-        assert euler_phi(n) == phi
-
-    def test_counts_coprime_residues(self):
-        for n in range(1, 200):
-            from math import gcd
-
-            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
-class TestCyclotomic:
-    def test_first(self):
-        assert cyclotomic(1) == IntPolynomial(-1, 1)
-
-    def test_fourth(self):
-        assert cyclotomic(4) == IntPolynomial(1, 0, 1)
-
-    def test_degree_is_totient(self):
-        assert all(cyclotomic(n).degree == euler_phi(n) for n in range(1, 101))
-
-    def test_product_over_divisors(self):
-        n = 24
-        product = IntPolynomial(1)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                product = product * cyclotomic(d)
-        assert product == IntPolynomial(*([-1] + [0] * (n - 1) + [1]))
 
 
 class TestSmithNormalForm:
@@ -148,7 +115,7 @@ class TestInducedIdealQ:
     def test_quotient_rank_is_totient(self, p, alpha):
         # every q = p^alpha up to 243 for p in {2, 3, 5}, plus 49
         group = GroupSpec(p, alpha)
-        assert group.q - len(invariant_factors(induced_ideal_q(group))) == euler_phi(group.q)
+        assert group.q - len(invariant_factors(induced_ideal_q(group))) == totient(group.q)
 
 
 class TestSemisimpleIdeal:
@@ -165,7 +132,7 @@ class TestSemisimpleIdeal:
     def test_quotient_rank_and_freeness(self, m):
         basis = semisimple_ideal(m)
         factors = invariant_factors(basis)
-        assert m - len(factors) == euler_phi(m)
+        assert m - len(factors) == totient(m)
         assert all(f == 1 for f in factors)
 
 
@@ -246,7 +213,7 @@ class TestNonInducedRank:
     def test_coprime_characteristic_uses_semisimple_path(self):
         spec = CyclicGroupSpec(9, 2)
         assert spec.alpha == 0 and spec.m == 9
-        assert rank_report(spec)["quotient_rank"] == euler_phi(9)
+        assert rank_report(spec)["quotient_rank"] == totient(9)
 
     def test_report_fields(self):
         report = rank_report(CyclicGroupSpec(12, 2))
@@ -264,8 +231,8 @@ class TestNonInducedRank:
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
         for p in primes or [2]:
             spec = CyclicGroupSpec(n, p)
-            assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
-            assert rank_report(spec)["phi_n"] == euler_phi(n), (n, p)
+            assert rank_report(spec)["quotient_rank"] == totient(n), (n, p)
+            assert rank_report(spec)["phi_n"] == totient(n), (n, p)
             assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
 
     def test_torsion_in_a_factor_is_a_verification_failure(self):
@@ -308,7 +275,7 @@ class TestNonInducedRank:
         spec = CyclicGroupSpec(n, p)
         report = rank_report(spec)
         factors = invariant_factors(ideal_lattice(spec))
-        assert n - len(factors) == report["quotient_rank"] == euler_phi(n)
+        assert n - len(factors) == report["quotient_rank"] == totient(n)
         assert report["ideal_rank"] == len(factors)
         assert all(f == 1 for f in factors)
 
@@ -324,7 +291,7 @@ class TestSparsePass:
         for n in range(1, 201):
             for p in _characteristics(n):
                 spec = CyclicGroupSpec(n, p)
-                assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
+                assert rank_report(spec)["quotient_rank"] == totient(n), (n, p)
                 assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
         for p, alpha in [(2, 8), (3, 5), (5, 3), (7, 3)]:
             assert principal_generation_check(GroupSpec(p, alpha)), (p, alpha)
@@ -340,7 +307,7 @@ class TestFreenessCertificate:
         for n in range(1, 201):
             for p in _characteristics(n):
                 spec = CyclicGroupSpec(n, p)
-                assert rank_report(spec)["quotient_rank"] == euler_phi(n), (n, p)
+                assert rank_report(spec)["quotient_rank"] == totient(n), (n, p)
 
     def test_cross_check_certificate_against_smith_form(self):
         # Cross-check: on every factor lattice rank_report builds up to

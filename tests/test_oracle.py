@@ -289,3 +289,23 @@ def test_numpy_loads_only_for_the_dense_path():
     )
     done = _run_python("-c", script)
     assert (done.returncode, done.stdout) == (0, "False\n0 mismatches\nFalse\nTrue\n"), done.stderr
+
+
+def test_library_boundary():
+    # the package and a CLI command load none of the tests' dependencies
+    # or cross-checks, and every exported name resolves
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import greenring\n"
+        "from greenring import cli\n"
+        "cli.main(['rank', '12', '--p', '2'])\n"
+        "print(sorted({'sympy', 'hypothesis', 'crosschecks'} & set(sys.modules)))\n"
+        "missing = [n for n in greenring.__all__ if not hasattr(greenring, n)]\n"
+        "for info in pkgutil.iter_modules(greenring.__path__):\n"
+        "    module = importlib.import_module('greenring.' + info.name)\n"
+        "    names = getattr(module, '__all__', ())\n"
+        "    missing += [info.name + '.' + n for n in names if not hasattr(module, n)]\n"
+        "print(missing)\n"
+    )
+    done = _run_python("-c", script)
+    assert (done.returncode, done.stdout) == (0, "quotient_rank 4, phi 4\n[]\n[]\n"), done.stderr
