@@ -38,8 +38,10 @@ level it needs only the aggregated remainder product
 (sum c V_{r1}) (sum d V_{s1}) and four bilinear sums over the two sides
 (``_merge``); the spread |r1 - s1| enters through |x| = 2 max(0, x) - x.
 Each aggregated product is computed once per ``mul`` call, in a table
-local to the call, from an explicit stack.  The pair memo is read only
-where one side of such a digit-group pair has a single term.
+local to the call, from an explicit stack.  Each product decides once:
+when either factor has a single term in every digit group, the whole
+product is summed from the pair memo; otherwise every pair of digit
+groups aggregates, single-term groups included.
 
 All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict.  It keeps every pair a caller asks for
@@ -47,9 +49,10 @@ table is a read-mostly dict.  It keeps every pair a caller asks for
 mapping that ``tensor`` returns without copying.  An interior pair of a
 digit chain, a remainders' product that a level reads, is kept only up
 to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one is computed,
-used and dropped.  The per-call table of ``mul`` never enters the memo.  Every computed entry, kept or not, is
-checked for positivity and dimension.  CPython dict operations are atomic
-under the GIL and recomputing an entry is harmless, so no locking is used.
+used and dropped.  The per-call table of ``mul`` never enters the memo.
+Every computed entry, kept or not, is checked for positivity and
+dimension.  CPython dict operations are atomic under the GIL and
+recomputing an entry is harmless, so no locking is used.
 
 The closed forms that cross-check the engine, chi_k . V_s by the column
 rule and chi_i^s by the binomial sum, live with the tests
@@ -122,7 +125,7 @@ class RingElement:
     def __init__(self, group: GroupSpec, coeffs: Mapping[int, int]):
         clean: dict[int, int] = {}
         for idx, c in coeffs.items():
-            idx, c = int(idx), int(c)
+            idx, c = operator.index(idx), operator.index(c)
             if c == 0 or idx <= 0:
                 continue
             if idx > group.q:
@@ -420,59 +423,42 @@ def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
     return RingElement._wrap(group, coeffs)
 
 
-def _by_digit(terms: tuple, pb: int) -> tuple[dict[int, tuple], list]:
-    """The terms ((r, c), ...), sorted by r, split by leading digit at pb:
-    the groups of two or more terms, as r0 -> ((r1, c), ...) sorted by r1,
-    and the terms alone in their group, as [(r, c), ...]."""
+def _by_digit(terms: tuple, pb: int) -> dict[int, tuple]:
+    """The terms ((r, c), ...), sorted by r, split by leading digit at pb,
+    as r0 -> ((r1, c), ...) sorted by r1."""
     groups: dict[int, list] = {}
     for r, c in terms:
-        groups.setdefault(r // pb, []).append((r, c))
-    multi: dict[int, tuple] = {}
-    single: list = []
-    for r0, group in groups.items():
-        if len(group) == 1:
-            single += group
-        else:
-            multi[r0] = tuple((r - r0 * pb, c) for r, c in group)
-    return multi, single
-
-
-def _add_pairs(out: dict[int, int], p: int, a, b) -> None:
-    """Add sum c d V_r (x) V_s over (r, c) in a and (s, d) in b to out,
-    from the checked, memoized pair decompositions."""
-    for r, c in a:
-        for s, d in b:
-            w = c * d
-            for idx, e in _tensor_coeffs(p, r, s).items():
-                out[idx] = out.get(idx, 0) + w * e
+        r0, r1 = divmod(r, pb)
+        groups.setdefault(r0, []).append((r1, c))
+    return {r0: tuple(group) for r0, group in groups.items()}
 
 
 def _split(p: int, pb: int, a: tuple, b: tuple) -> tuple[int, dict[int, int], list]:
     """The product of two nonempty term tuples a and b, sorted by index,
     split by digit groups at p^beta, the leading level of their largest
-    index, found by dividing pb down.  Returns p^beta, the sum of the
-    pair-memo terms, and the aggregated digit-group pairs still to add, as
-    (r0, s0, sums, sub): sub is the key of the sub-product the pair needs
-    (None when it is zero), and sums the pair's ``_merge`` sums (None for
-    two groups below p^beta, whose product is the sub-product itself)."""
+    index, found by dividing pb down.  Returns p^beta, the terms summed so
+    far, and the digit-group pairs still to add.  When either factor has a
+    single term in every digit group, the whole product is summed from the
+    checked, memoized pair decompositions and no pair is left.  Otherwise
+    every pair of groups is left, as (r0, s0, sums, sub): sub is the key of
+    the sub-product the pair needs (None when it is zero), and sums the
+    pair's ``_merge`` sums (None for two groups below p^beta, whose product
+    is the sub-product itself)."""
     top = max(a[-1][0], b[-1][0])
     while pb > top:
         pb //= p
-    out: dict[int, int] = {}
-    if len({r // pb for r, _ in a}) == len(a) or len({s // pb for s, _ in b}) == len(b):
-        # one side has a single term in every digit group, so no pair of
-        # groups aggregates and the grouping can be skipped
-        _add_pairs(out, p, a, b)
+    groups_a, groups_b = _by_digit(a, pb), _by_digit(b, pb)
+    if len(groups_a) == len(a) or len(groups_b) == len(b):
+        out: dict[int, int] = {}
+        for r, c in a:
+            for s, d in b:
+                w = c * d
+                for idx, e in _tensor_coeffs(p, r, s).items():
+                    out[idx] = out.get(idx, 0) + w * e
         return pb, out, []
-    multi_a, single_a = _by_digit(a, pb)
-    multi_b, single_b = _by_digit(b, pb)
-    _add_pairs(out, p, single_a, b)
-    if single_b and multi_a:
-        grouped_a = [(r0 * pb + r1, c) for r0, terms in multi_a.items() for r1, c in terms]
-        _add_pairs(out, p, grouped_a, single_b)
     parts = []
-    for digit_a, terms_a in multi_a.items():
-        for digit_b, terms_b in multi_b.items():
+    for digit_a, terms_a in groups_a.items():
+        for digit_b, terms_b in groups_b.items():
             if digit_a <= digit_b:
                 r0, s0, left, right = digit_a, digit_b, terms_a, terms_b
             else:
@@ -484,7 +470,7 @@ def _split(p: int, pb: int, a: tuple, b: tuple) -> tuple[int, dict[int, int], li
             high = tuple(term for term in right if term[0])
             sub = (low, high) if low and high else None
             parts.append((r0, s0, _merge(left, right), sub))
-    return pb, out, parts
+    return pb, {}, parts
 
 
 def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
@@ -535,8 +521,11 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     The grid terms on multiples of p^beta are bilinear sums of the weights
     w = c d against r1 and s1; the boundary sum sum w max(0, r1 - s1) comes
     from one merge pass with running sums, and the spread sum w |r1 - s1|
-    from |x| = 2 max(0, x) - x (``_merge``, ``_grid``).  A pair of groups
-    with a single term on either side is summed from the checked, memoized
+    from |x| = 2 max(0, x) - x (``_merge``, ``_grid``).  The rule is
+    linear, so a group of one term aggregates exactly as well.  Each
+    product, and each sub-product, decides once (``_split``): when either
+    factor has a single term in every digit group, no pair of groups
+    aggregates, and the whole product is summed from the checked, memoized
     pair decompositions instead; nothing else reads the pair memo.  Two
     groups both below p^beta multiply as a product at a lower level.
 

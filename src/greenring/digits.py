@@ -130,19 +130,16 @@ def split_indices(r: int, base: int, level: int) -> frozenset[int]:
     The walk starts from [r] at level ``level`` and goes down to level 1.
     At level beta each index x = m b^beta + j with 0 <= j < b^beta stays,
     and when b does not divide m and j != 0 it also gains the partner
-    m b^beta - j; at level 0 the list holds the set.  The j = 0 case takes
-    the single branch: the split would duplicate x.  Two branches reaching
-    one index raise ``VerificationError`` (one length check on the final
-    list catches every such duplicate); a list longer than
-    ``MAX_INDEX_SET`` raises ``ValueError`` at the level it appears.
+    m b^beta - j = x - 2j; at level 0 the list holds the set.  The j = 0
+    case takes the single branch: the split would duplicate x.  Two
+    branches reaching one index raise ``VerificationError`` (one length
+    check on the final list catches every such duplicate); a list longer
+    than ``MAX_INDEX_SET`` raises ``ValueError`` at the level it appears.
     """
     indices = [r]
     for beta in range(level, 0, -1):
         step = base**beta
-        for x in indices[:]:
-            m, j = divmod(x, step)
-            if m % base and j:
-                indices.append(m * step - j)
+        indices += [x - 2 * j for x in indices if (j := x % step) and x // step % base]
         if len(indices) > MAX_INDEX_SET:
             raise ValueError(
                 f"the index set of {r} in base {base} exceeds {MAX_INDEX_SET} "

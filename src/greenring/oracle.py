@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -100,6 +101,16 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"modulus must be prime, got {p}")
 
 
+def _check_pair(p: int, r: int, s: int, budget: int) -> None:
+    """The arguments of a Jordan type query: a prime p, block sizes r, s
+    of at least 1, and r s within the budget (``BudgetExceeded``)."""
+    _require_prime(p)
+    if r < 1 or s < 1:
+        raise ValueError("block sizes must be at least 1")
+    if r * s > budget:
+        raise BudgetExceeded(f"dimension {r * s} exceeds budget {budget}")
+
+
 @dataclasses.dataclass(frozen=True)
 class JordanType:
     """Multiset of Jordan block sizes, stored as a descending tuple."""
@@ -107,7 +118,7 @@ class JordanType:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted(map(int, self.blocks), reverse=True))
+        blocks = tuple(sorted(map(operator.index, self.blocks), reverse=True))
         if blocks and blocks[-1] < 1:
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "blocks", blocks)
@@ -134,11 +145,7 @@ def tensor_generator_matrix(
     """The rs x rs matrix J_r(1) (x) J_s(1) over F_p, entries in 0..p-1."""
     import numpy as np
 
-    _require_prime(p)
-    if r < 1 or s < 1:
-        raise ValueError("block sizes must be at least 1")
-    if r * s > budget:
-        raise BudgetExceeded(f"dimension {r * s} exceeds budget {budget}")
+    _check_pair(p, r, s, budget)
     return np.kron(_jordan_block(r), _jordan_block(s)) % p
 
 
@@ -250,15 +257,9 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
     step must lower the column's lowest nonzero row, so a column needs at
     most r steps.
     """
-    _require_prime(p)
-    if r < 1 or s < 1:
-        raise ValueError("block sizes must be at least 1")
-    if r * s > budget:
-        raise BudgetExceeded(f"dimension {r * s} exceeds budget {budget}")
+    _check_pair(p, r, s, budget)
     if r > s:
         r, s = s, r
-    if r == 1:
-        return JordanType((s,))
 
     # Columns are lists cut after their lowest nonzero row.  Column 0 is
     # a_0; column j starts from the reduced column j - 1 shifted down one

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 from . import digits
 from .core_ring import GroupSpec, RingElement
@@ -40,7 +41,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", rows)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,15 @@ class TestRingElement:
             one(G53) + one(G33)
         with pytest.raises(ValueError):
             mul(one(G53), one(G33))
+
+    def test_non_integral_input_rejected(self):
+        # indices and coefficients are taken by operator.index: a float is
+        # refused, never truncated, while bools and numpy integers pass
+        with pytest.raises(TypeError):
+            RingElement(G53, {2.7: 1})
+        with pytest.raises(TypeError):
+            RingElement(G53, {3: 1.9})
+        assert RingElement(G53, {np.int64(3): np.int32(2), 2: True}) == V(G53, (3, 2), (2, 1))
 
     def test_str_rendering(self):
         assert str(V(G53, (12, 1), (8, -1), (2, 1))) == "V12 - V8 + V2"
@@ -396,6 +406,21 @@ class TestMulCrossCheck:
             assert mul(a, b) == _pairwise(a, b)
 
         check()
+
+    @pytest.mark.parametrize("p,alpha", [(2, 8), (3, 5), (5, 4), (7, 3)])
+    def test_single_and_multi_term_digit_groups_aggregate(self, p, alpha):
+        # at the top level each factor has one digit group of two terms and
+        # one of a single term, so neither has a single term in every group:
+        # every pair of groups aggregates, the single-term ones included
+        group = GroupSpec(p, alpha)
+        pb = p ** (alpha - 1)
+        a = RingElement(group, {pb + 1: 2, pb + 3: -1, 3: 1})
+        b = RingElement(group, {1: -3, 2: 1, pb: 2})
+        for x in (a, b):
+            terms = tuple(sorted(x.coeffs.items()))
+            groups = core_ring._by_digit(terms, pb)
+            assert sorted(map(len, groups.values())) == [1, 2]
+        assert mul(a, b) == mul(b, a) == _pairwise(a, b)
 
     def test_chain_products_of_72_term_u_elements(self):
         # shaped like the benchmark's products: U_r at (5,5) with r - 1 of

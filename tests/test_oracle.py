@@ -189,6 +189,11 @@ class TestJordanTypeDataclass:
         with pytest.raises(ValueError):
             JordanType((0,))
 
+    def test_rejects_non_integral_blocks(self):
+        with pytest.raises(TypeError):
+            JordanType((2.5, 1))
+        assert JordanType((np.int64(2), True)).blocks == (2, 1)
+
 
 class TestVerifyEngine:
     def test_p2_full(self):

@@ -195,6 +195,13 @@ class TestChangeOfBasis:
             change_of_basis(group, "v_to_u")
 
 
+class TestIntMatrix:
+    def test_rejects_non_integral_entries(self):
+        with pytest.raises(TypeError):
+            IntMatrix(((1.5, 0), (0, 1)))
+        assert IntMatrix(((np.int64(1), False),)).entries == ((1, 0),)
+
+
 class TestRenderMatrix:
     def test_text_identity(self):
         grid = render_matrix(IntMatrix(((1, 0), (0, 1))), "text").decode()
