@@ -26,10 +26,12 @@ oracle (``greenring.oracle``), and the reading implemented here survives
 exhaustive sweeps.  See docs/discrepancies.md for the record.
 
 One reduction copies the whole remainders' product into disjoint blocks
-between consecutive multiples of p^beta with dict.update, unmerged; the
-terms on multiples of p^beta sit in a slot list and overwrite the copies
-of the one remainder term that lands there, V_{p^beta} (see ``_grid``,
-the one home of the rule).
+between consecutive multiples of p^beta, unmerged, by dict
+comprehensions; the terms on multiples of p^beta sit in a slot list and
+overwrite the copies of the one remainder term that lands there,
+V_{p^beta} (see ``_grid``, the one home of the rule).  Every index the
+reduction writes, in a copy, a slot or the carry, goes through one shared
+table of int objects, ``_INDEX``, where _INDEX[i] is the object for i.
 
 The ring product ``mul`` runs the same reduction on whole elements rather
 than pair by pair.  The rule is linear in the remainders' product, so
@@ -51,8 +53,14 @@ digit chain, a remainders' product that a level reads, is kept only up
 to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one is computed,
 used and dropped.  The per-call table of ``mul`` never enters the memo.
 Every computed entry, kept or not, is checked for positivity and
-dimension.  CPython dict operations are atomic under the GIL and
-recomputing an entry is harmless, so no locking is used.
+dimension.  The memo's keys are the index table's objects, so the
+memo's terms share about as many int objects as there are distinct
+indices, not one per term.  The table grows to the p-power envelope of
+each digit chain and ``mul`` product, up to ``_INDEX_BOUND`` slots;
+indices above the bound stay plain ints.  CPython dict operations are
+atomic under the GIL, recomputing an entry is harmless, and the table is
+rebound whole when it grows, never extended in place, so no locking is
+used.
 
 The closed forms that cross-check the engine, chi_k . V_s by the column
 rule and chi_i^s by the binomial sum, live with the tests
@@ -255,6 +263,42 @@ def chi(group: GroupSpec, k: int) -> RingElement:
 _TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
 _INTERIOR_KEEP_DIM = 2**14
 
+# Index table: _INDEX[i] is the one int object for the value i, and
+# ``_grid`` writes every index it builds through it, so the memo's millions
+# of keys share their objects instead of each holding a new int.  It starts
+# empty and grows to the p-power envelope p^(beta+1) of each digit chain and
+# each ``mul`` product, once per chain or product (``_grow_index``), up to
+# _INDEX_BOUND slots: 2^17 covers the 78,125 indices of (5,7) and holds at
+# most about 4.7 MB.  A level whose envelope the table does not cover writes
+# plain ints through _PLAIN instead.
+_INDEX: list[int] = []
+_INDEX_BOUND = 2**17
+
+
+class _PlainIndex:
+    """Stands in for the index table above its bound: index[i] is i."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> int:
+        return i
+
+
+_PLAIN = _PlainIndex()
+
+
+def _grow_index(top: int) -> None:
+    """Grow the index table to cover 0..top, if top is below its bound.
+    The longer list keeps the old objects and is bound in one step, so a
+    slot i holds i in every list ever bound, whatever threads grow it at
+    once.  A racing grower may bind a shorter list than another thread
+    needs; ``_grid`` compares each level's envelope with the list it
+    reads, so such a level writes plain ints."""
+    global _INDEX
+    index = _INDEX
+    if len(index) <= top < _INDEX_BOUND:
+        _INDEX = index + list(range(len(index), top + 1))
+
 
 def _leading_level(p: int, n: int) -> tuple[int, int]:
     """(beta, p^beta) for the leading base-p digit of n >= 1."""
@@ -320,12 +364,19 @@ def _grid(
     b_j < p^beta lands at shift + b_j or shift + 2i p^beta +- b_j, inside
     the open interval (shift + k p^beta, shift + (k+1) p^beta) for k = 0,
     2i - 1 or 2i.  Those intervals are disjoint and hold no multiple of
-    p^beta, so the whole remainder product is copied in with dict.update,
-    unmerged.  Only the collision term b_j = p^beta lands on the grid, at
-    the odd slots: its copies are overwritten by the slot sums, which
-    include it, and a zero slot removes its copy."""
+    p^beta, so the whole remainder product is copied in by two dict
+    comprehensions, the shifted copies and the mirrored ones, unmerged.
+    Only the collision term b_j = p^beta lands on the grid, at the odd
+    slots: its copies are overwritten by the slot sums, which include it,
+    and a zero slot removes its copy.  Every index written is positive and
+    at most the envelope p^(beta+1), and is written as the index table's
+    object when the table covers the envelope (the caller grows it once
+    per chain or product, ``_grow_index``), otherwise as a plain int."""
     carry, d1, _ = _digit_case(p, r0, s0)
     shift = (s0 - r0) * pb
+    index = _INDEX
+    if pb * p >= len(index):
+        index = _PLAIN
     slots = [2 * boundary - wr1 + ws1, pb * w - wr1 - ws1] * (d1 + 1)
     slots[0] = boundary if shift else 0
     if not carry:
@@ -339,20 +390,20 @@ def _grid(
             for k in range(1, 2 * d1, 2):
                 slots[k] += 2 * top
             slots[-1] += top
+        terms = rest.items()
         steps = range(shift + 2 * pb, shift + (2 * d1 + 1) * pb, 2 * pb)
-        for base in (shift, *steps):
-            out.update(zip(map(base.__add__, rest), rest.values()))
-        for base in steps:
-            out.update(zip(map(base.__sub__, rest), rest.values()))
+        out = {index[base + b]: a for base in (shift, *steps) for b, a in terms}
+        if steps:
+            out.update({index[base - b]: a for base in steps for b, a in terms})
     for k, c in enumerate(slots):
         if c:
-            out[shift + k * pb] = c
+            out[index[shift + k * pb]] = c
         elif collide:
             out.pop(shift + k * pb, None)
     if carry:
         c1 = (r0 + s0 - p) * pb * w + wr1 + ws1
         if c1:
-            out[pb * p] = c1
+            out[index[pb * p]] = c1
     return out
 
 
@@ -382,6 +433,7 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
     if rest is not None:
         return rest
     _, pb = _leading_level(p, s)
+    _grow_index(pb * p)
     chain = []
     while True:
         chain.append((r, s, pb))
@@ -482,6 +534,7 @@ def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
     limit; each sub-product has indices below the p^beta of the product
     that needs it, which bounds its level."""
     _, pb = _leading_level(p, max(a[-1][0], b[-1][0]))
+    _grow_index(pb * p)
     stack = [((a, b), pb)]
     table: dict[tuple, dict[int, int]] = {}
     pending: dict[tuple, tuple] = {}

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -749,3 +750,126 @@ class TestMemoRetention:
     def test_lost_dimension_on_a_dropped_entry_raises_under_optimize(self):
         out = _run_optimized(self._SCRIPT.format(r=self.R, s=self.S))
         assert out.startswith("dimension lost at (5, 150, 200)"), out
+
+
+class _PositiveIndex(list):
+    """An index table that refuses a nonpositive index, which a plain list
+    would read silently from its end."""
+
+    def __getitem__(self, i):
+        assert i > 0, f"nonpositive index {i} read through the table"
+        return super().__getitem__(i)
+
+
+class TestIndexTable:
+    """_grid writes every index through one table of shared int objects,
+    grown once per digit chain and per mul product up to _INDEX_BOUND."""
+
+    G57 = GroupSpec(5, 7)
+
+    @pytest.fixture
+    def cleared(self, monkeypatch):
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_INDEX", [])
+
+    def test_memo_keys_are_the_table_objects(self, cleared):
+        rng = random.Random(1)
+        for _ in range(300):
+            tensor(self.G57, rng.randint(1, self.G57.q), rng.randint(1, self.G57.q))
+        index = core_ring._INDEX
+        assert len(index) == self.G57.q + 1
+        memo = core_ring._TENSOR_CACHE
+        assert all(key is index[key] for entry in memo.values() for key in entry)
+
+    def test_table_stays_within_its_bound(self, cleared):
+        # the 4,095-level chain's envelope 2^4095 is above the bound, so it
+        # answers in plain ints and leaves the table as it was
+        product = tensor(GroupSpec(2, 4096), 3, 2**4095 - 1)
+        assert product.dim() == 3 * (2**4095 - 1) and min(product.coeffs.values()) > 0
+        assert core_ring._INDEX == []
+        bound = core_ring._INDEX_BOUND
+        assert self.G57.q < bound <= 2**17
+        core_ring._grow_index(bound)
+        assert core_ring._INDEX == []
+        core_ring._grow_index(bound - 1)
+        core_ring._grow_index(bound)
+        core_ring._grow_index(2**4095)
+        assert len(core_ring._INDEX) == bound
+
+    def test_no_nonpositive_index_is_read(self, monkeypatch):
+        # every pair r <= s of the pinned sweep groups, and mul products of
+        # U-elements and of signed elements at (5,3)
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        checked = _PositiveIndex(range(core_ring._INDEX_BOUND))
+        monkeypatch.setattr(core_ring, "_INDEX", checked)
+        for p, alpha in ((3, 4), (7, 2), (5, 3), (2, 7)):
+            group = GroupSpec(p, alpha)
+            for s in range(1, group.q + 1):
+                for r in range(1, s + 1):
+                    tensor(group, r, s)
+        units = [u_element(G53, r) for r in range(1, G53.q + 1, 7)]
+        for a, b in zip(units, units[1:]):
+            assert mul(a, b) == _pairwise(a, b)
+        rng = random.Random(5)
+        for _ in range(50):
+            a, b = (
+                RingElement(G53, {rng.randint(1, 125): rng.choice((-2, -1, 1, 3)) for _ in range(6)})
+                for _ in range(2)
+            )
+            assert mul(a, b) == _pairwise(a, b)
+        assert core_ring._INDEX is checked
+
+    def test_concurrent_growth_keeps_every_slot(self, cleared):
+        # four threads start together from an empty memo and table and ask
+        # for overlapping pairs whose envelopes rise level by level, so the
+        # table grows while other threads read and grow it
+        pairs = [
+            (group, r, p**k + r)
+            for group, p in ((self.G57, 5), (GroupSpec(2, 16), 2))
+            for k in range(group.alpha)
+            for r in (1, 2, 3, p**k - 1)
+            if r >= 1 and p**k + r <= group.q
+        ]
+        want = [dict(tensor(*pair).coeffs) for pair in pairs]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                core_ring._TENSOR_CACHE = {}
+                core_ring._INDEX = []
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def work(t):
+                    barrier.wait()
+                    order = pairs[t::2] + pairs  # overlapping, in two orders
+                    got = {pair: dict(tensor(*pair).coeffs) for pair in order}
+                    results[t] = [got[pair] for pair in pairs]
+
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [want] * 4
+                index = core_ring._INDEX
+                assert index == list(range(len(index)))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_import_and_trick_leave_the_table_empty(self):
+        script = (
+            "from greenring import cli, core_ring\n"
+            "print(len(core_ring._INDEX))\n"
+            "cli.main(['trick', '62', '--base', '5'])\n"
+            "print(len(core_ring._INDEX))\n"
+        )
+        src = str(Path(greenring.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        first, *_, last = done.stdout.splitlines()
+        assert (first, last) == ("0", "0"), done.stdout
