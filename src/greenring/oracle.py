@@ -16,8 +16,23 @@ N = g - 1 by dense elimination, and block multiplicities via
 Each power is taken on an echelon basis of the row space of the previous
 one, so the matrices shrink as the ranks fall; the product with N is three
 shifted copies of that basis (N = L (x) 1 + 1 (x) L + L (x) L for the
-subdiagonal shift L), checked once against g - 1.  Cost grows like
-(r s)^3, fine for a few hundred dimensions.
+subdiagonal shift L), checked once against g - 1.
+
+The echelon basis is keyed by each row's trailing nonzero column, which
+is what keeps the powers cheap.  Read a row as an r x s array with its
+trailing entry at cell (i, j).  The three shifts move that entry to
+(i - 1, j), (i, j - 1) and (i - 1, j - 1), and every other entry to a
+cell before (i, j - 1); so for j >= 1 the row times N has its trailing
+entry at (i, j - 1), with the same coefficient.  The rows of B N, for an
+echelon basis B of the row space of N^k, therefore keep distinct
+trailing columns, except those whose trailing entry sat at j = 0: at
+most r of them.  Each row is placed by a dict lookup, and only the
+colliding ones are reduced, one at a time, by the inverse-free step
+d row - c own that ``jordan_type`` uses.  At p = 5 and r s in 200..250,
+the sizes of the benchmark's spot checks, a check makes about 2,200
+such steps and takes about 30 ms, against about 75 ms for leading-column
+pivoting with an outer-product update per pivot (2-vCPU VM).  That
+suits a few hundred dimensions.
 
 ``jordan_type`` reduces an r x r presentation and handles the full
 default budget (dimension 16384) quickly.  V_r (x) V_s is the algebra
@@ -92,9 +107,10 @@ class BudgetExceeded(ValueError):
 
 
 def _require_prime(p: int) -> None:
-    # The dense path and rank_fp eliminate in int64, forming a - b*c with
-    # a, b, c in 0..p-1; jordan_type works in Python ints but refuses the
-    # same moduli, so every oracle entry accepts the same p.
+    # The dense path and rank_fp eliminate in int64, forming d*a - c*b with
+    # a, b, c, d in 0..p-1, so within (p-1)^2; jordan_type works in Python
+    # ints but refuses the same moduli, so every oracle entry accepts the
+    # same p.
     if p * (p - 1) >= 2**63:
         raise ValueError(f"modulus {p} too large: p*(p-1) must be below the int64 limit 2^63")
     if not is_prime(p):
@@ -149,43 +165,49 @@ def tensor_generator_matrix(
     return np.kron(_jordan_block(r), _jordan_block(s)) % p
 
 
-def _rank_mod_p(work: np.ndarray, p: int) -> int:
-    """Row-echelon rank of an int64 array, reducing `work` in place: its
-    first `rank` rows end as an echelon basis of the original row space."""
+def _echelon_basis(work: np.ndarray, p: int) -> np.ndarray:
+    """An echelon basis of the row space of the int64 array `work` over
+    F_p, as rows of `work`; entries in 0..p-1, reduced in place.
+
+    Each basis row owns its trailing nonzero column.  A row whose
+    trailing column is free is kept as it is; one whose column is owned
+    becomes d row - c own with d = own[low] and c = row[low], which
+    clears column low with no modular inverse, and repeats until its
+    trailing column is free or the row is zero.
+    """
     import numpy as np
 
-    rows, cols = work.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = work[rank:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            work[[rank, piv]] = work[[piv, rank]]
-        inv = pow(int(work[rank, c]), p - 2, p)
-        work[rank, c:] = work[rank, c:] * inv % p
-        # Columns left of c are already zero below the pivot row; only rows
-        # with a nonzero entry in column c change.
-        hit = rank + 1 + work[rank + 1 :, c].nonzero()[0]
-        if hit.size:
-            work[hit, c:] = (work[hit, c:] - np.outer(work[hit, c], work[rank, c:])) % p
-        rank += 1
-    return rank
+    trail = np.where(work != 0, np.arange(work.shape[1]), -1).max(axis=1, initial=-1)
+    owner: dict[int, int] = {}  # trailing column -> index of the row that owns it
+    for i, low in enumerate(trail.tolist()):
+        row = work[i]
+        while low in owner:
+            own = work[owner[low]]
+            d, c = int(own[low]), int(row[low])
+            row *= d
+            row -= c * own
+            row %= p
+            nz = row[:low].nonzero()[0]
+            low = int(nz[-1]) if nz.size else -1
+        if low >= 0:
+            owner[low] = i
+    return work[list(owner.values())]
 
 
 def rank_fp(p: int, entries) -> int:
-    """Rank over F_p of a two-dimensional integer array, by exact Gaussian
-    elimination after reducing the entries mod p."""
+    """Rank over F_p of a two-dimensional array of integers.
+
+    The entries may be any integers, negative or beyond int64: they are
+    reduced mod p as exact integers, and the elimination then runs in
+    int64 on residues (``_echelon_basis``).
+    """
     import numpy as np
 
     _require_prime(p)
-    array = np.asarray(entries, dtype=np.int64)
+    array = np.asarray(entries, dtype=object)
     if array.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    return _rank_mod_p(array % p, p)
+    return len(_echelon_basis((array % p).astype(np.int64), p))
 
 
 def _times_nilpotent(basis: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
@@ -212,8 +234,10 @@ def jordan_type_dense(
 ) -> JordanType:
     """Jordan type of J_r (x) J_s from the dense rank sequence of N = g - 1.
 
-    Cubic in r*s per power of N; intended for modest sizes and as the
-    cross-check for :func:`jordan_type`.
+    Intended for a few hundred dimensions and as the cross-check for
+    :func:`jordan_type`.  Besides the sum of the block sizes, the rank of
+    N itself is checked: its kernel, the fixed points of g, has dimension
+    min(r, s) in every characteristic.
     """
     import numpy as np
 
@@ -230,14 +254,19 @@ def jordan_type_dense(
     del nilpotent, identity
     ranks = [n]
     while True:
-        rk = _rank_mod_p(work, p)
-        ranks.append(rk)
-        if rk == 0:
+        basis = _echelon_basis(work, p)
+        ranks.append(len(basis))
+        if not len(basis):
             break
-        # work[:rk] is an echelon basis of the row space of N^k, so its
-        # product with N spans the row space of N^(k+1).
-        work = _times_nilpotent(work[:rk], r, s, p)
+        # basis spans the row space of N^k, so its product with N spans
+        # the row space of N^(k+1).
+        work = _times_nilpotent(basis, r, s, p)
     ranks.append(0)
+    # the block sizes below sum to n for any rank sequence; this can fail
+    if n - ranks[1] != min(r, s):
+        raise VerificationError(
+            f"rank of g - 1 is {ranks[1]}, not {n - min(r, s)}, for p={p}, r={r}, s={s}"
+        )
     blocks: list[int] = []
     for k in range(1, len(ranks) - 1):
         mult = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]

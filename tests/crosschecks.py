@@ -10,7 +10,10 @@ another way, kept here so the tests can compare the two:
 * ``chi_power``: chi_i^s by the binomial closed form, against repeated
   ``mul`` by chi_i;
 * ``mul_chi_V``: chi_k . V_s by the column rule, against the digit
-  reduction of the tensor engine.
+  reduction of the tensor engine;
+* ``rank_mod_p_pivoting``: rank over F_p by leading-column pivoting with
+  an outer-product update per pivot, against the oracle's trailing-column
+  echelon basis.
 
 The tests import it as ``from crosschecks import ...``; pytest puts this
 directory on ``sys.path``.
@@ -19,6 +22,8 @@ directory on ``sys.path``.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from greenring.core_ring import GroupSpec, RingElement
 
@@ -110,3 +115,29 @@ def mul_chi_V(group: GroupSpec, k: int, s: int) -> RingElement:
     for idx, c in terms:
         out[idx] = out.get(idx, 0) + c
     return RingElement(group, out)
+
+
+def rank_mod_p_pivoting(work: np.ndarray, p: int) -> int:
+    """Row-echelon rank of an int64 array with entries in 0..p-1, reducing
+    `work` in place: pivot on the leading column, swap the pivot row up,
+    scale it to 1 and clear the column below it in one outer product."""
+    rows, cols = work.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        nz = work[rank:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            work[[rank, piv]] = work[[piv, rank]]
+        inv = pow(int(work[rank, c]), p - 2, p)
+        work[rank, c:] = work[rank, c:] * inv % p
+        # Columns left of c are already zero below the pivot row; only rows
+        # with a nonzero entry in column c change.
+        hit = rank + 1 + work[rank + 1 :, c].nonzero()[0]
+        if hit.size:
+            work[hit, c:] = (work[hit, c:] - np.outer(work[hit, c], work[rank, c:])) % p
+        rank += 1
+    return rank

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from crosschecks import rank_mod_p_pivoting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from greenring.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     JordanType,
-    _rank_mod_p,
+    _echelon_basis,
     _times_nilpotent,
     jordan_type,
     jordan_type_dense,
@@ -27,6 +28,8 @@ from greenring.oracle import (
 
 # A prime with p*(p-1) >= 2^63, beyond what int64 elimination can hold.
 INT64_UNSAFE_PRIME = 4294967311
+# The largest prime with p*(p-1) < 2^63; the next prime is 3037000507.
+LARGEST_ADMITTED_PRIME = 3037000493
 
 # sha256 of one line "p r s blocks..." per pair of the default-budget sweeps
 # of (3,4), (7,2), (5,3) and (2,7), lines joined by newlines.
@@ -85,6 +88,64 @@ class TestRankFp:
         assert rank_fp(5, [[1, 2], [6, 7]]) == 1
         assert rank_fp(5, [[1, 2], [6, 8]]) == 2
 
+    def test_entries_beyond_int64(self):
+        # 2^70 = 4 and -2^70 = 1 mod 5; neither fits in int64
+        assert rank_fp(5, [[2**70, 1], [1, 1]]) == 2
+        assert rank_fp(5, [[-(2**70), 1], [1, 1]]) == 1
+        assert rank_fp(7, [[2**64 + 1, 2**64]]) == 1
+
+    def test_largest_admitted_prime_does_not_overflow(self):
+        p = LARGEST_ADMITTED_PRIME
+        assert p * (p - 1) < 2**63 <= 3037000507 * 3037000506
+        assert rank_fp(p, [[p - 1] * 4] * 4) == 1
+        # rows -(1, 1) and (-1, 1) are independent; (p-1)^2 fits in int64
+        assert rank_fp(p, [[p - 1, p - 1], [p - 1, 1]]) == 2
+        basis = _echelon_basis(np.full((3, 3), p - 1, dtype=np.int64), p)
+        assert basis.tolist() == [[p - 1] * 3]
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """A prime from {2, 3, 5, 7, 101} and an int64 matrix of residues up to
+    30 x 30: a product of two factors drawn from a seed, so ranks below
+    full occur, with some rows set to zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]), label="p")
+    rows = draw(st.integers(1, 30), label="rows")
+    cols = draw(st.integers(1, 30), label="cols")
+    inner = draw(st.integers(1, 30), label="inner")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    matrix = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols)) % p
+    zero = draw(st.lists(st.integers(0, rows - 1), max_size=rows), label="zero rows")
+    matrix[zero] = 0
+    return p, matrix
+
+
+class TestEchelonBasis:
+    """The trailing-column echelon basis behind rank_fp and
+    jordan_type_dense, against leading-column pivoting."""
+
+    @given(_matrices_mod_p())
+    def test_rank_equals_pivoting_cross_check(self, case):
+        p, matrix = case
+        basis = _echelon_basis(matrix.copy(), p)
+        assert len(basis) == rank_mod_p_pivoting(matrix.copy(), p)
+        # residues, one trailing column per row, and the same row space
+        assert ((0 <= basis) & (basis < p)).all()
+        trailing = [int(row.nonzero()[0][-1]) for row in basis]
+        assert len(set(trailing)) == len(trailing)
+        stacked = np.vstack([matrix, basis])
+        assert rank_mod_p_pivoting(stacked, p) == len(basis)
+
+    @given(_matrices_mod_p(), st.data())
+    def test_rank_invariant_under_row_permutation(self, case, data):
+        p, matrix = case
+        order = data.draw(st.permutations(range(len(matrix))), label="order")
+        assert len(_echelon_basis(matrix[order], p)) == len(_echelon_basis(matrix.copy(), p))
+
+    def test_empty_shapes(self):
+        assert rank_fp(3, np.zeros((0, 4), dtype=int)) == 0
+        assert rank_fp(3, np.zeros((4, 0), dtype=int)) == 0
+
 
 class TestJordanType:
     def test_identity_factor(self):
@@ -132,6 +193,13 @@ class TestJordanType:
     def test_fast_path_equals_dense_bigger_spot_checks(self):
         for p, r, s in ((2, 9, 31), (3, 17, 26), (5, 12, 37), (7, 20, 22)):
             assert jordan_type(p, r, s) == jordan_type_dense(p, r, s)
+
+    def test_fast_path_equals_dense_on_benchmark_spot_pool(self):
+        # the 26 pairs the benchmark draws its dense spot checks from
+        pool = [(r, s) for r in range(9, 16) for s in range(r, 26) if 200 <= r * s <= 250]
+        assert len(pool) == 26
+        for r, s in pool:
+            assert jordan_type(5, r, s) == jordan_type_dense(5, r, s), (r, s)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), data=st.data())
@@ -251,6 +319,21 @@ class TestShiftedProduct:
         with pytest.raises(VerificationError, match="shifted product"):
             jordan_type_dense(3, 2, 2)
 
+    def test_rank_of_nilpotent_checked(self, monkeypatch):
+        # losing one row of N's basis still gives nonnegative multiplicities
+        # summing to r s; only the fixed-point count catches it
+        real = oracle._echelon_basis
+        calls = []
+
+        def drop_one_row(work, p):
+            calls.append(None)
+            basis = real(work, p)
+            return basis[1:] if len(calls) == 1 else basis
+
+        monkeypatch.setattr(oracle, "_echelon_basis", drop_one_row)
+        with pytest.raises(VerificationError, match="rank of g - 1 is 8, not 9"):
+            jordan_type_dense(5, 3, 4)
+
 
 def _run_python(*args):
     src = str(Path(greenring.__file__).resolve().parents[1])
@@ -276,6 +359,28 @@ def test_zero_start_column_raises_under_optimize():
     done = _run_python("-O", "-c", script)
     assert (done.returncode, done.stdout) == (
         0, "start of column 1 is zero for p=5, r=3, s=4\n"
+    ), done.stderr
+
+
+def test_nilpotent_rank_check_raises_under_optimize():
+    # the fixed-point check is a plain if, so it holds under python -O
+    script = (
+        "from greenring import digits, oracle\n"
+        "real = oracle._echelon_basis\n"
+        "calls = []\n"
+        "def drop_one_row(work, p):\n"
+        "    calls.append(None)\n"
+        "    basis = real(work, p)\n"
+        "    return basis[1:] if len(calls) == 1 else basis\n"
+        "oracle._echelon_basis = drop_one_row\n"
+        "try:\n"
+        "    oracle.jordan_type_dense(5, 3, 4)\n"
+        "except digits.VerificationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_python("-O", "-c", script)
+    assert (done.returncode, done.stdout) == (
+        0, "rank of g - 1 is 8, not 9, for p=5, r=3, s=4\n"
     ), done.stderr
 
 
