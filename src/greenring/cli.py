@@ -3,6 +3,8 @@
 Subcommands: tensor, ubasis, cousins, matrix, trick, rank, verify,
 relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
+Results render themselves where they can: a ring element by ``str`` and
+``to_json_dict``, a digit certificate by ``to_text`` and ``to_json_dict``.
 Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory,
 recursion too deep (a guard: the engine walks digit chains in a loop) or an
 I/O error such as an unwritable --out path.
@@ -74,28 +76,12 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def _trick_text(cert: digits.TrickCertificate) -> str:
-    # Terms ascend in j, so reversing them gives the descending order.  The
-    # "(d+1)" labels come from a table of the base's digits, unless the base
-    # outnumbers the terms (a huge base has few): then each is formatted.
-    if cert.base <= len(cert.terms):
-        label = [f"({d + 1})" for d in range(cert.base)].__getitem__
-    else:
-        def label(d):
-            return f"({d + 1})"
-    parts = [
-        "".join(map(label, reversed(digs))) if len(digs) > 1 else str(product)
-        for _, digs, product in reversed(cert.terms)
-    ]
-    return f"{cert.n} = " + " + ".join(parts) + "\n"
-
-
 def cmd_trick(args) -> int:
     cert = digits.trick_certificate(args.n, args.base)
     if args.format == "json":
         _emit(_dump(cert.to_json_dict()), args.out)
     else:
-        _emit(_trick_text(cert), args.out)
+        _emit(cert.to_text() + "\n", args.out)
     return 0
 
 

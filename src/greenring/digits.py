@@ -187,10 +187,40 @@ class TrickCertificate:
             "sum": sum(product for _, _, product in self.terms),
         }
 
+    def to_text(self) -> str:
+        """The identity as one line, 'n = ' and the terms in descending j
+        joined by ' + ': each term is the (d+1) labels of the digits of
+        j - 1, most significant first, or its product when j - 1 has fewer
+        than two digits.
+
+        For a base up to _CHUNK_LIMIT, j - 1 is re-expanded by divmods by
+        the chunk and each chunk's labels are read from ``_chunk_labels``;
+        a larger base has few digits per number and formats each one."""
+        if self.base > _CHUNK_LIMIT:
+            parts = [
+                "".join(f"({d + 1})" for d in reversed(ds)) if len(ds) > 1 else str(product)
+                for _, ds, product in reversed(self.terms)
+            ]
+        else:
+            chunk = _chunk_tables(self.base)[0]
+            padded, leading = _chunk_labels(self.base)
+            parts = []
+            for j, ds, product in reversed(self.terms):
+                if len(ds) < 2:
+                    parts.append(str(product))
+                    continue
+                x, text = j - 1, ""
+                while x >= chunk:
+                    x, low = divmod(x, chunk)
+                    text = padded[low] + text
+                parts.append(leading[x] + text)
+        return f"{self.n} = " + " + ".join(parts)
+
 
 # Digit expansions of a base up to _CHUNK_LIMIT read whole chunks of digits
-# from tables built once per base (``_chunk_tables``); a larger base has few
-# digits per number and expands them one by one.
+# from tables built once per base (``_chunk_tables``), and their text from
+# labels built once per base (``_chunk_labels``); a larger base has few
+# digits per number and expands and formats them one by one.
 _CHUNK_LIMIT = 256
 
 
@@ -206,6 +236,20 @@ def _chunk_tables(base: int) -> tuple[int, tuple, tuple]:
         padded = [(ds + (d,), p * (d + 1)) for d in range(base) for ds, p in padded]
     leading = [((), 1)] + [(to_digits(x, base), p) for x, (_, p) in enumerate(padded) if x]
     return len(padded), tuple(padded), tuple(leading)
+
+
+@functools.lru_cache(maxsize=None)  # at most one entry per base <= _CHUNK_LIMIT
+def _chunk_labels(base: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(padded, leading) as text: for x < chunk, the "(d+1)" labels of the
+    digits of padded[x] and of leading[x] of ``_chunk_tables(base)``, most
+    significant digit first.  Only ``TrickCertificate.to_text`` reads them,
+    so building a certificate never pays for them."""
+    _, padded, leading = _chunk_tables(base)
+    labels = [f"({d + 1})" for d in range(base)]
+    return tuple(
+        tuple("".join(labels[d] for d in reversed(ds)) for ds, _ in table)
+        for table in (padded, leading)
+    )
 
 
 def _digit_terms(indices, base: int) -> list[tuple[int, tuple[int, ...], int]]:

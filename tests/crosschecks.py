@@ -13,7 +13,10 @@ another way, kept here so the tests can compare the two:
   reduction of the tensor engine;
 * ``rank_mod_p_pivoting``: rank over F_p by leading-column pivoting with
   an outer-product update per pivot, against the oracle's trailing-column
-  echelon basis.
+  echelon basis;
+* ``trick_text_per_digit``: a digit certificate's text, formatting every
+  digit of every term, against ``TrickCertificate.to_text``, which joins
+  the labels of whole digit chunks.
 
 The tests import it as ``from crosschecks import ...``; pytest puts this
 directory on ``sys.path``.
@@ -26,6 +29,7 @@ import math
 import numpy as np
 
 from greenring.core_ring import GroupSpec, RingElement
+from greenring.digits import TrickCertificate
 
 
 def evaluate(coeffs: tuple[int, ...], x: int) -> int:
@@ -141,3 +145,14 @@ def rank_mod_p_pivoting(work: np.ndarray, p: int) -> int:
             work[hit, c:] = (work[hit, c:] - np.outer(work[hit, c], work[rank, c:])) % p
         rank += 1
     return rank
+
+
+def trick_text_per_digit(cert: TrickCertificate) -> str:
+    """'n = ' and the terms in descending j, joined by ' + ': each term the
+    "(d+1)" of every digit of j - 1, most significant first, or its product
+    when j - 1 has fewer than two digits."""
+    parts = [
+        "".join(f"({d + 1})" for d in reversed(digs)) if len(digs) > 1 else str(product)
+        for _, digs, product in reversed(cert.terms)
+    ]
+    return f"{cert.n} = " + " + ".join(parts)

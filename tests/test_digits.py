@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 import sympy
+from crosschecks import trick_text_per_digit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +147,55 @@ class TestTrickCertificate:
     def test_identity_holds(self, n, base):
         cert = trick_certificate(n, base)
         assert sum(product for _, _, product in cert.terms) == n
+
+
+class TestTrickText:
+    def test_equals_per_digit_cross_check_small_n(self):
+        for base in range(2, 12):
+            for n in range(1, 1001):
+                cert = trick_certificate(n, base)
+                assert cert.to_text() == trick_text_per_digit(cert), (n, base)
+
+    def test_equals_per_digit_cross_check_seeded_pairs(self):
+        # bases up to 400 take both the chunk path and the per-digit path
+        rng = random.Random(23)
+        for _ in range(500):
+            cert = trick_certificate(rng.randint(1, 10**6), rng.randint(2, 400))
+            assert cert.to_text() == trick_text_per_digit(cert), (cert.n, cert.base)
+
+    @pytest.mark.parametrize(
+        "n,base,text",
+        [
+            (1, 10, "1 = 1"),
+            (9, 10, "9 = 9"),
+            (10, 10, "10 = 10"),
+            (100, 10, "100 = (10)(10)"),
+            (257, 256, "257 = (2)(1) + 255"),
+            (258, 257, "258 = (2)(1) + 256"),
+        ],
+    )
+    def test_edge_cases(self, n, base, text):
+        # n = 1, terms of one digit printing their product, and the last
+        # base of the chunk path next to the first of the per-digit path
+        assert trick_certificate(n, base).to_text() == text
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 255, 256])
+    def test_exact_powers_of_the_chunk(self, base):
+        # j - 1 = chunk^e: every chunk below the top one is all zeros
+        chunk = digits._chunk_tables(base)[0]
+        for e in (1, 2, 3):
+            cert = trick_certificate(chunk**e + 1, base)
+            assert cert.j_set[-1] - 1 == chunk**e
+            assert cert.to_text() == trick_text_per_digit(cert), (e, base)
+
+    def test_labels_match_the_digits_of_every_table_entry(self):
+        for base in range(2, digits._CHUNK_LIMIT + 1):
+            _, padded, leading = digits._chunk_tables(base)
+            labels = digits._chunk_labels(base)
+            for table, text in zip((padded, leading), labels):
+                assert len(text) == len(table)
+                for (ds, _), label in zip(table, text):
+                    assert label == "".join(f"({d + 1})" for d in reversed(ds))
 
 
 def _split_recursive(r, base, level):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from greenring.oracle import (
     BudgetExceeded,
     JordanType,
     _echelon_basis,
+    _first_column,
     _times_nilpotent,
     jordan_type,
     jordan_type_dense,
@@ -201,6 +203,22 @@ class TestJordanType:
         for r, s in pool:
             assert jordan_type(5, r, s) == jordan_type_dense(5, r, s), (r, s)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_fast_path_equals_dense_square_and_lopsided(self, p):
+        # r = s: the first column holds every row, and the one reduced
+        # column that ends at the last row loses it when shifted; r << s:
+        # long runs of columns shift with no row falling off
+        for r, s in ((15, 15), (16, 16), (2, 64), (3, 80)):
+            assert jordan_type(p, r, s) == jordan_type_dense(p, r, s), (r, s)
+
+    def test_sweep_over_r_builds_few_first_columns(self):
+        # an ascending sweep over r asks for lengths 1, 2, 4, ... and s
+        for p, s in ((5, 100), (2, 128)):
+            _first_column.cache_clear()
+            for r in range(1, s + 1):
+                jordan_type(p, r, s)
+            assert _first_column.cache_info().currsize <= math.ceil(math.log2(s)) + 1
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), data=st.data())
     def test_engine_equals_oracle_at_random_pairs(self, p, data):
@@ -244,6 +262,19 @@ class TestJordanType:
         n = (g - np.eye(r * s, dtype=np.int64)) % p
         blocks = len(jordan_type(p, r, s).blocks)
         assert r * s - rank_fp(p, n) == blocks
+
+
+class TestFirstColumn:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_equals_direct_formula(self, p):
+        # every length for s <= 64; for s <= 200 the lengths jordan_type
+        # asks for, the powers of two below s and s itself.  A tuple only
+        # equals a tuple, so this also pins the type no caller can alter.
+        for s in range(1, 201):
+            full = tuple((-1) ** k * math.comb(s, k) % p for k in range(s))
+            lengths = range(s + 1) if s <= 64 else [*(1 << e for e in range(s.bit_length())), s]
+            for length in lengths:
+                assert _first_column(p, s, length) == full[:length], (s, length)
 
 
 class TestJordanTypeDataclass:
@@ -399,6 +430,24 @@ def test_numpy_loads_only_for_the_dense_path():
     )
     done = _run_python("-c", script)
     assert (done.returncode, done.stdout) == (0, "False\n0 mismatches\nFalse\nTrue\n"), done.stderr
+
+
+def test_import_builds_no_table():
+    # import greenring must stay cheap: the first columns and the digit
+    # tables fill on first use, not at import
+    script = (
+        "import greenring\n"
+        "from greenring import cli, digits, oracle\n"
+        "caches = (oracle._first_column, digits._chunk_tables, digits._chunk_labels)\n"
+        "print([c.cache_info().currsize for c in caches])\n"
+        "cli.main(['trick', '62', '--base', '5'])\n"
+        "oracle.jordan_type(5, 3, 4)\n"
+        "print([c.cache_info().currsize for c in caches])\n"
+    )
+    done = _run_python("-c", script)
+    assert (done.returncode, done.stdout) == (
+        0, "[0, 0, 0]\n62 = (3)(3)(2) + (3)(2)(3) + (2)(3)(3) + (2)(2)(2)\n[1, 1, 1]\n"
+    ), done.stderr
 
 
 def test_library_boundary():
