@@ -20,11 +20,12 @@ pairwise disjoint supports (cosets of one subgroup, or single columns),
 each holding a +-1, so they span a direct summand and the factor's
 quotient is free; ``rank_report`` checks exactly that on the rows it
 builds, in one pass over their entries.  The exact Smith normal form
-(``invariant_factors``, ``smith_normal_form``) is off that path: it is the
-labelled cross-check of the certificate and the engine of
-``principal_generation_check``.  ``ideal_lattice``, the whole n-wide
-ideal in one lattice, is the tests' cross-check of the factor-by-factor
-route and is not exported.
+(``invariant_factors``, ``smith_normal_form``) is off that path.  One
+sparse elimination computes it, +-1 pivots first and least absolute
+values after; it is the labelled cross-check of the certificate and the
+engine of ``principal_generation_check``.  ``ideal_lattice``, the whole
+n-wide ideal in one lattice, is the tests' cross-check of the
+factor-by-factor route and is not exported.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 
 from .core_ring import GroupSpec, mul
 from .digits import VerificationError, is_prime, prime_factors
-from .ubasis import IntMatrix, u_element
+from .ubasis import MAX_MATRIX_ORDER, IntMatrix, u_element
 
 __all__ = [
     "LatticeBasis",
@@ -137,144 +138,88 @@ def ideal_lattice(spec: CyclicGroupSpec) -> LatticeBasis:
         for j in range(q)
     ]
     if spec.alpha >= 1:
-        gens += (((i * q + idx - 1, 1),) for idx in range(p, q + 1, p) for i in range(m))
+        p_part = induced_ideal_q(GroupSpec(p, spec.alpha)).generators
+        gens += (tuple((i * q + j, v) for j, v in g) for g in p_part for i in range(m))
     return LatticeBasis(spec.n, tuple(gens))
 
 
-def _smith_dense(mat: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of a dense integer matrix, textbook
-    pivoting with the divisibility fix; exact arithmetic throughout."""
-    mat = [row[:] for row in mat]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    out: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        pos = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(mat[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        while True:
-            i0, j0 = pos
-            if i0 != t:
-                mat[t], mat[i0] = mat[i0], mat[t]
-            if j0 != t:
-                for row in mat:
-                    row[t], row[j0] = row[j0], row[t]
-            if mat[t][t] < 0:
-                mat[t] = [-v for v in mat[t]]
-            piv = mat[t][t]
-            for i in range(t + 1, nrows):
-                v = mat[i][t]
-                if v:
-                    qq = v // piv
-                    if qq:
-                        rowt = mat[t]
-                        mat[i] = [a - qq * b for a, b in zip(mat[i], rowt)]
-            for j in range(t + 1, ncols):
-                v = mat[t][j]
-                if v:
-                    qq = v // piv
-                    if qq:
-                        for i in range(t, nrows):
-                            mat[i][j] -= qq * mat[i][t]
-            pos = None
-            for i in range(t + 1, nrows):
-                if mat[i][t]:
-                    pos = (i, t)
-                    break
-            if pos is None:
-                for j in range(t + 1, ncols):
-                    if mat[t][j]:
-                        pos = (t, j)
-                        break
-            if pos is not None:
-                continue
-            piv = mat[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                if any(v % piv for v in mat[i][t + 1 :]):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            mat[t] = [a + b for a, b in zip(mat[t], mat[offender])]
-            pos = (t, t)
-        out.append(mat[t][t])
-        t += 1
-    return out
+def _subtract(rows, cols, rid, c, vec) -> None:
+    """rows[rid] -= c * vec, keeping the column index; an emptied row leaves."""
+    row = rows[rid]
+    for k, w in vec.items():
+        if nv := row.get(k, 0) - c * w:
+            cols[k].add(rid)
+            row[k] = nv
+        else:
+            del row[k]
+            cols[k].discard(rid)
+    if not row:
+        del rows[rid]
+
+
+def _pivots(rows):
+    """Pivots (row id, column): the unit pass, each row in input order at its
+    first +-1 entry if any, then the least absolute value left."""
+    for rid in range(len(rows)):
+        j = next((k for k, v in rows.get(rid, {}).items() if v == 1 or v == -1), None)
+        if j is not None:
+            yield rid, j
+    while rows:
+        yield min((abs(v), rid, j) for rid, row in rows.items() for j, v in row.items())[1:]
+
+
+def _reduce(rows, cols, rid, j) -> bool:
+    """Non-unit pivot step at d = rows[rid][j], the least absolute value left:
+    floor-quotient row steps, then, once column j holds d alone, column
+    steps leave remainders below |d|.  True when none is left; otherwise
+    the least remainder is the next pivot."""
+    pivot = rows[rid]
+    d = pivot[j]
+    for other in cols[j] - {rid}:
+        _subtract(rows, cols, other, rows[other][j] // d, pivot)
+    if len(cols[j]) == 1:
+        _subtract(rows, cols, rid, 1, {k: v - v % d for k, v in pivot.items() if k != j})
+    return len(cols[j]) == len(pivot) == 1
 
 
 def _invariant_factors(vectors) -> list[int]:
     """Nonzero invariant factors of the span of sparse integer rows, each
     an iterable of (column, nonzero value) pairs.
 
-    Sparse phase first, one pass over the rows in input order: a row still
-    present pivots on its first +-1 entry, that column is cleared from the
-    other rows, and the pivot leaves as one unit factor; the arithmetic
-    stays integer-exact.  Rows are dicts under a stable row id, and a
-    column index maps each column to the ids of the rows holding it, so
-    clearing visits only the pivot column's rows.  Pivot order does not
-    change the factors, since the Smith form is unique; it only changes
-    the fill-in.  A row with no +-1 entry when its turn comes stays for the
-    dense routine, which takes whatever is left.
-
-    Callers: ``invariant_factors`` and ``smith_normal_form`` (the tests'
-    cross-checks) and ``principal_generation_check``.  ``rank_report``
-    does not call it.
+    One integer-exact elimination over dict rows under stable ids, with a
+    column index to the ids of the rows holding each column, so a step
+    visits only its column's rows.  The unit pass comes first (``_pivots``)
+    because it needs no search and no column step: a +-1 pivot's quotients
+    are exact, so one row step clears its column and its row leaves.  On
+    every lattice the library builds that pass leaves nothing.  The rest
+    pivots on the least absolute value left, Euclid on rows and columns
+    (``_reduce``), and a pivot alone in its row and column leaves.  The
+    non-unit pivots become a chain pairwise, diag(a, b) ~ diag(gcd, lcm).
+    The Smith form is unique, so pivot order changes only the fill-in.
+    ``rank_report`` does not call it.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = dict(enumerate(filter(None, map(dict, vectors))))
     cols: dict[int, set[int]] = {}
-    for vec in vectors:
-        row = dict(vec)
-        if row:
-            rid = len(rows)
-            rows[rid] = row
-            for j in row:
-                cols.setdefault(j, set()).add(rid)
-    units = 0
-    for rid in range(len(rows)):
-        pivot = rows.get(rid)
-        if pivot is None:
-            continue
-        j = next((k for k, v in pivot.items() if v == 1 or v == -1), None)
-        if j is None:
+    for rid, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(rid)
+    diagonal: list[int] = []
+    for rid, j in _pivots(rows):
+        pivot = rows[rid]
+        d = pivot[j]
+        if d != 1 and d != -1 and not _reduce(rows, cols, rid, j):
             continue
         del rows[rid]
-        if pivot[j] == -1:
-            pivot = {k: -w for k, w in pivot.items()}
         for k in pivot:
             cols[k].discard(rid)
         for other in list(cols[j]):
-            row = rows[other]
-            c = row[j]
-            for k, w in pivot.items():
-                nv = row.get(k, 0) - c * w
-                if nv:
-                    if k not in row:
-                        cols[k].add(other)
-                    row[k] = nv
-                else:
-                    del row[k]
-                    cols[k].discard(other)
-            if not row:
-                del rows[other]
-        units += 1
-    factors = [1] * units
-    if rows:
-        remaining = sorted(j for j, held in cols.items() if held)
-        colmap = {j: i for i, j in enumerate(remaining)}
-        dense = [[0] * len(remaining) for _ in rows]
-        for i, row in enumerate(rows.values()):
-            for j, v in row.items():
-                dense[i][colmap[j]] = v
-        factors.extend(d for d in _smith_dense(dense) if d)
-    return factors
+            _subtract(rows, cols, other, rows[other][j] // d, pivot)
+        diagonal.append(abs(d))
+    chain = [d for d in diagonal if d > 1]
+    for i in range(len(chain)):
+        for k in range(i + 1, len(chain)):
+            chain[i], chain[k] = math.gcd(chain[i], chain[k]), math.lcm(chain[i], chain[k])
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def invariant_factors(basis: LatticeBasis) -> tuple[int, ...]:
@@ -288,9 +233,7 @@ def invariant_factors(basis: LatticeBasis) -> tuple[int, ...]:
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, d_1 | d_2 | ..., zeros included
     up to min(rows, cols).  A cross-check: the rank path does not call it."""
-    factors = _invariant_factors(
-        [(j, v) for j, v in enumerate(row) if v] for row in mat.entries
-    )
+    factors = _invariant_factors([(j, v) for j, v in enumerate(r) if v] for r in mat.entries)
     width = min(mat.rows, mat.cols)
     return tuple(factors) + (0,) * (width - len(factors))
 
@@ -386,9 +329,12 @@ def principal_generation_check(group: GroupSpec) -> bool:
 
     One inclusion is support membership (every product must sit on indices
     divisible by p); the other holds exactly when the q/p square matrix of
-    products has all-unit invariant factors.
+    products has all-unit invariant factors.  A q above the change of
+    basis's ``MAX_MATRIX_ORDER`` raises ``ValueError`` before any product.
     """
     p, q = group.p, group.q
+    if q > MAX_MATRIX_ORDER:
+        raise ValueError(f"q = {q} exceeds {MAX_MATRIX_ORDER}")
     k = q // p
     u_p = u_element(group, p)
     vectors = []
@@ -397,5 +343,4 @@ def principal_generation_check(group: GroupSpec) -> bool:
         if any(i % p for i in product.coeffs):
             return False
         vectors.append(sorted((i // p - 1, c) for i, c in product.coeffs.items()))
-    factors = _invariant_factors(vectors)
-    return len(factors) == k and all(f == 1 for f in factors)
+    return _invariant_factors(vectors) == [1] * k

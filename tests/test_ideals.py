@@ -15,7 +15,6 @@ from greenring.digits import is_prime
 from greenring.ideals import (
     CyclicGroupSpec,
     _invariant_factors,
-    _smith_dense,
     LatticeBasis,
     ideal_lattice,
     induced_ideal_q,
@@ -46,6 +45,11 @@ class TestSmithNormalForm:
     def test_divisibility_fix(self):
         # gcd of all entries must surface as d_1
         assert smith_normal_form(IntMatrix(((2, 0), (0, 3)))) == (1, 6)
+        # the pairwise gcd/lcm fix across three non-unit pivots
+        diag = ((4, 0, 0), (0, 6, 0), (0, 0, 10))
+        assert smith_normal_form(IntMatrix(diag)) == (2, 2, 60)
+        # a row with no +-1 entry: several Euclid rounds of column steps
+        assert smith_normal_form(IntMatrix(((6, 10, 15),))) == (1,)
 
     @given(
         st.lists(
@@ -83,12 +87,17 @@ class TestSmithNormalForm:
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_cross_check_sparse_phase_against_dense(self, rows):
-        # Cross-check: the one-pass sparse phase plus dense remainder
-        # against the dense routine alone.  The weights towards 0 and +-1
-        # make pivots, fill-in and a dense remainder all occur.
-        dense = [d for d in _smith_dense([list(r) for r in rows]) if d]
+        # Cross-check: the sparse elimination, unit pass then least
+        # absolute values, against sympy's dense Smith normal form.  The
+        # weights towards 0 and +-1 make unit pivots, fill-in and a
+        # non-unit remainder all occur.
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.matrices.normalforms import smith_normal_form as sympy_snf
+
+        theirs = sympy_snf(DomainMatrix.from_list(rows, sympy.ZZ)).diagonal()
         sparse = [[(j, v) for j, v in enumerate(r) if v] for r in rows]
-        assert _invariant_factors(sparse) == dense
+        assert _invariant_factors(sparse) == [abs(int(d)) for d in theirs if d]
 
 
 class TestInducedIdealQ:
@@ -167,6 +176,15 @@ class TestPrincipalGeneration:
     @pytest.mark.parametrize("p,alpha", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
     def test_holds(self, p, alpha):
         assert principal_generation_check(GroupSpec(p, alpha))
+
+    def test_refuses_q_above_matrix_order(self, monkeypatch):
+        # (2, 64) would take 2^63 products; the cap refuses it before one
+        def refuse(group, r):
+            raise AssertionError("a U-element was built")
+
+        monkeypatch.setattr(ideals, "u_element", refuse)
+        with pytest.raises(ValueError, match="exceeds 4096"):
+            principal_generation_check(GroupSpec(2, 64))
 
     @pytest.mark.parametrize("p,alpha", [(2, 3), (3, 2), (5, 2)])
     def test_product_identity_u_mp(self, p, alpha):
@@ -282,12 +300,12 @@ class TestNonInducedRank:
 
 class TestSparsePass:
     def test_library_lattices_never_reach_the_dense_remainder(self, monkeypatch):
-        # Every lattice the library builds is fully pivoted by the one-pass
-        # sparse phase; only TestSmithNormalForm's matrices reach _smith_dense.
-        def refuse(mat):
-            raise AssertionError("dense remainder reached")
+        # Every lattice the library builds is fully pivoted by the unit
+        # pass; only TestSmithNormalForm's matrices need a non-unit pivot.
+        def refuse(rows, cols, rid, j):
+            raise AssertionError("non-unit pivot reached")
 
-        monkeypatch.setattr(ideals, "_smith_dense", refuse)
+        monkeypatch.setattr(ideals, "_reduce", refuse)
         for n in range(1, 201):
             for p in _characteristics(n):
                 spec = CyclicGroupSpec(n, p)
