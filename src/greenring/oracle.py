@@ -28,13 +28,13 @@ echelon basis B of the row space of N^k, therefore keep distinct
 trailing columns, except those whose trailing entry sat at j = 0: at
 most r of them.  Each row is placed by a dict lookup, and only the
 colliding ones are reduced, one at a time, by the inverse-free step
-d row - c own that ``jordan_type`` uses.  At p = 5 and r s in 200..250,
+d row - c own.  At p = 5 and r s in 200..250,
 the sizes of the benchmark's spot checks, a check makes about 2,200
 such steps and takes about 30 ms, against about 75 ms for leading-column
 pivoting with an outer-product update per pivot (2-vCPU VM).  That
 suits a few hundred dimensions.
 
-``jordan_type`` reduces an r x r presentation and handles the full
+``jordan_type`` works from an r x r presentation and handles the full
 default budget (dimension 16384) quickly.  V_r (x) V_s is the algebra
 R = k[x,y]/(x^r, y^s) with the group generator acting as multiplication
 by the unit u = (1+x)(1+y).  For every k,
@@ -67,39 +67,74 @@ power of t).  Column j ending with lowest row i pairs generator x^i with
 relation j: one Jordan block of size s + j - i.  The cost does not
 depend on s.
 
-Write a_j for column j of A and L for the r x r down-shift.  Reduced
-column j lies in a_j + span(a_0 .. a_(j-1)), up to a unit, and the index
-of its lowest nonzero row is the least that index takes over that coset:
-the earlier reduced columns end at distinct rows, none of them its own,
-so adding any combination of them ends at the largest row involved.
-Any start in the coset therefore gives the same blocks.  A = (1 - L)^s mod L^r is a polynomial in L, so
-L A v = A L v and a_j = L a_(j-1); L times reduced column j - 1 lies in
-a_j + span(a_1 .. a_(j-1)), and ``jordan_type`` starts column j there.
-Over the 4,546 pairs of the default-budget sweeps of (3,4) and (7,2)
-that takes 39,289 reduction steps, against 211,769 from a_j.  A is
-unitriangular, so such a start is never zero.
+Write a_j for column j of A.  Reduced column j lies in a_j +
+span(a_0 .. a_(j-1)), up to a unit, and the index of its lowest nonzero
+row is the least that index takes over that coset: the earlier reduced
+columns end at distinct rows, none of them its own, so adding any
+combination of them ends at the largest row involved.
 
-Owners are kept as reduced, not scaled to 1 at their lowest row.  A
-step replaces col by d col - c own, with d = own[low] and c = col[low]:
-row low clears with no modular inverse, and scaling by the unit d moves
-no lowest row.  Columns are plain int lists of about 25 entries, where
-numpy's per-call overhead would outweigh its arithmetic.
+Read a column as a polynomial in x, row i holding the coefficient of
+x^i.  Then a_j = x^j f mod x^r for f = (1 - x)^s, the coset is
+{g f mod x^r : deg g = j} up to a unit, and column j ends at row
+
+    low_j = min { deg (g f mod x^r) : deg g = j }.
+
+That minimum is the best-approximation property of the Euclidean
+algorithm: the key equation of Sugiyama, Kasahara, Hirasawa and
+Namekawa ("A method for solving key equation for decoding Goppa codes",
+Inform. Control 27, 1975), and the Pade table of Gragg ("The Pade table
+and its relation to certain algorithms of numerical analysis", SIAM
+Rev. 14, 1972).  Take R_0 = x^r, R_1 = f mod x^r and R_(i+1) = R_(i-1)
+mod R_i, of degrees r = d_0 > d_1 > ... > d_k.  f(0) = 1, so x^r and f
+are coprime and the last remainder is a constant: d_k = 0.  Each
+R_i = U_i x^r + V_i f with deg V_i = r - d_(i-1), since V_1 = 1 and
+V_(i+1) = V_(i-1) - q V_i with deg q = d_(i-1) - d_i.  On the segment
+r - d_(i-1) <= j < r - d_i, with m = j - (r - d_(i-1)):
+
+* g = x^m V_i has degree j, and g f mod x^r = x^m R_i, of degree
+  d_i + m < d_(i-1) <= r;
+* no g of degree j does better.  If h = g f mod x^r had degree below
+  d_i + m, then h V_i and g R_i would both have degree below r and agree
+  mod x^r, so they would be equal (so h is not 0); comparing degrees
+  gives deg h = d_i + m after all.
+
+So low_j = d_i + j - (r - d_(i-1)), and every column of the segment is a
+block of the one size s + r - d_(i-1) - d_i, with the segment's length
+d_(i-1) - d_i as its multiplicity.  The segments cover j = 0 .. r - 1,
+and the sums d_(i-1) + d_i strictly fall, so the sizes are distinct and
+strictly increase with i: each remainder gives one distinct block size
+with its multiplicity, and nothing is counted or sorted.  Size times
+multiplicity telescopes to (s + r) r - r^2 = r s exactly when the
+degrees fall from r to 0 with no size repeated, so ``jordan_type``
+checks that sum as well as the final constant.
+
+Division needs an inverse of each divisor's leading coefficient, which
+p prime provides.  A row operation clears the dividend's leading
+coefficient with a multiple of the divisor, and touches only the
+positions where the divisor has a nonzero coefficient.  By Lucas,
+(1 - x)^s over F_p is the product of (1 - x^(p^i))^(s_i) over the
+base-p digits s_i of s, so f is sparse when p is small, and so are many
+of its remainders.  Polynomials are plain int lists of about 25
+coefficients, where numpy's per-call overhead would outweigh its
+arithmetic.  Over the 4,546 pairs of the default-budget sweeps of (3,4)
+and (7,2) the remainders number 20,290 and take 43,405 row operations,
+which update 281 K entries (765 K if the divisors' zero coefficients
+were visited too); reducing the columns one by one, each started from
+the previous one shifted down a row, took 112,706 columns and 39,289
+reduction steps over 827 K entries, plus 2.24 M entries of shifted
+copies.  That column route stays in the tests as the cross-check
+``jordan_type_elder``.  ``verify_engine`` compares the size ->
+multiplicity dict with the engine's coefficients directly, building no
+``JordanType`` per pair; with both changes the two sweeps, the engine's
+answers included, went from a median of 0.360 to 0.191 s over 30
+alternating fresh processes (2-vCPU VM).
 
 Column 0 depends on p and s only, and the rows of a_0 for r are the
 first r rows of a_0 for any larger r.  ``_first_column`` therefore builds
 it once per (p, s, length), with the length r rounded up to a power of
 two (at most s), in a small LRU cache: a sweep over r = 1..s for one s
 builds at most ceil(log2 s) + 1 columns, where it built s of them, and a
-single query builds at most 2r entries.  The shift rule: reduced columns
-end at distinct rows, so at most one of them ends at the last row r - 1.
-Every other one shifts to [0, *col] with no row falling off and its last
-entry still nonzero, so it needs neither a slice nor a scan for trailing
-zeros; only the column ending at row r - 1 loses that row and is
-rescanned.  The start is always a new list, since ``owner`` holds the
-reduced column itself.  Over the 4,546 pairs of the (3,4) and (7,2)
-sweeps the two cut ``verify_engine``, the engine's answers included, from
-a median of about 0.27 to 0.22 s in a fresh process, and their first
-columns from 112,706 ``math.comb`` calls to 11,094 (2-vCPU VM).
+single query builds at most 2r entries.
 """
 
 from __future__ import annotations
@@ -301,69 +336,90 @@ def _first_column(p: int, s: int, length: int) -> tuple[int, ...]:
     return tuple((-1) ** k * math.comb(s, k) % p for k in range(length))
 
 
-def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanType:
-    """Exact Jordan type of V_r (x) V_s over F_p.
+def _remainder(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, for coefficient lists with the leading coefficient
+    first and nonzero, reducing a in place; the remainder comes back in
+    the same form, [] for zero.  Each row operation clears the leading
+    coefficient at position i with a multiple of b, touching only the
+    positions where b has a nonzero coefficient after its leading one."""
+    inv = pow(b[0], -1, p)
+    terms = [(k, y) for k, y in enumerate(b[1:], 1) if y]
+    top = len(a) - len(b) + 1
+    for i in range(top):
+        if c := a[i]:
+            c = c * inv % p
+            for k, y in terms:
+                k += i
+                a[k] = (a[k] - c * y) % p
+    while top < len(a) and not a[top]:
+        top += 1
+    return a[top:]
 
-    Reduces the scalar presentation matrix A of the module docstring,
-    whose column j holds (-1)^k C(s, k) mod p at row j + k, starting each
-    column from the one before it, reduced and shifted down a row.  Every
-    step must lower the column's lowest nonzero row, so a column needs at
-    most r steps.  Column 0 is a prefix of the one ``_first_column``
-    shares across every r of this (p, s); a shifted column is sliced and
-    rescanned only when it ended at the last row.
+
+def _block_multiplicities(p: int, r: int, s: int) -> dict[int, int]:
+    """Block size -> multiplicity of V_r (x) V_s over F_p, for r <= s,
+    sizes ascending, from the Euclidean remainders of x^r and
+    f = (1 - x)^s mod x^r (module docstring).
+
+    Remainder degrees r = d_0 > d_1 > ... > d_k = 0 give the block size
+    s + r - d_(i-1) - d_i with multiplicity d_(i-1) - d_i.  f(0) = 1, so
+    the remainders must end at a constant; and the sizes must sum to r s,
+    which they do exactly when the degrees fall from r to 0 and no two
+    segments share a size.
     """
+    # f mod x^r, leading coefficient first: column 0's first r rows reversed
+    col = _first_column(p, s, min(s, 1 << (r - 1).bit_length()))[r - 1 :: -1]
+    lead = 0
+    while lead < r and not col[lead]:
+        lead += 1
+    a, b = [1] + [0] * r, list(col[lead:])
+    blocks: dict[int, int] = {}
+    d = r  # degree of a
+    while b:
+        e = len(b) - 1
+        blocks[s + r - d - e] = d - e
+        d = e
+        if not e:
+            break
+        a, b = b, _remainder(a, b, p)
+    if d:
+        raise VerificationError(
+            f"remainders of x^{r} and (1 - x)^{s} over F_{p} end at degree {d}, not 0"
+        )
+    total = sum(map(operator.mul, blocks, blocks.values()))
+    if total != r * s:
+        raise VerificationError(
+            f"block sizes sum to {total}, not {r * s}, for p={p}, r={r}, s={s}"
+        )
+    return blocks
+
+
+def _descending(blocks: dict[int, int]) -> tuple[int, ...]:
+    """The block sizes of an ascending size -> multiplicity dict, each
+    repeated by its multiplicity, largest first."""
+    return tuple(size for size in reversed(blocks) for _ in range(blocks[size]))
+
+
+def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanType:
+    """Exact Jordan type of V_r (x) V_s over F_p, from the Euclidean
+    remainders of x^min(r,s) and (1 - x)^max(r,s) (``_block_multiplicities``)."""
     _check_pair(p, r, s, budget)
     if r > s:
         r, s = s, r
-
-    # Columns are lists cut after their lowest nonzero row.  Column 0 is
-    # a_0, read from the prefix shared by every r of this (p, s); column j
-    # starts from the reduced column j - 1 shifted down one row.
-    col = list(_first_column(p, s, min(s, 1 << (r - 1).bit_length()))[:r])
-    owner: dict[int, list[int]] = {}  # lowest row -> reduced column ending there
-    blocks: list[int] = []
-    for j in range(r):
-        if len(col) < r:
-            # column j - 1 ends above the last row: none falls off and the
-            # last entry stays nonzero.  A new list, since owner holds col.
-            col = [0, *col]
-        else:
-            if j:  # column 0 holds all r rows and is not shifted
-                col = [0, *col[: r - 1]]
-            while col and not col[-1]:
-                col.pop()
-            if not col:
-                raise VerificationError(f"start of column {j} is zero for p={p}, r={r}, s={s}")
-        low = len(col) - 1
-        while low in owner:
-            own = owner[low]
-            d, c = own[low], col[low]
-            col = [(d * x - c * y) % p for x, y in zip(col, own)]
-            while col and not col[-1]:
-                col.pop()
-            if len(col) > low or not col:
-                raise VerificationError(
-                    f"presentation reduction stalled at row {low} for p={p}, r={r}, s={s}"
-                )
-            low = len(col) - 1
-        owner[low] = col
-        blocks.append(s + j - low)
-
-    jt = JordanType(tuple(blocks))
-    if jt.dimension != r * s:
-        raise VerificationError(f"presentation reduction inconsistent for p={p}, r={r}, s={s}")
-    return jt
+    return JordanType(_descending(_block_multiplicities(p, r, s)))
 
 
 def verify_engine(
     p: int, alpha: int, budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """Sweep all 1 <= r <= s <= p^alpha with r*s within budget and compare
-    the symbolic tensor decomposition against the oracle Jordan type.
+    the symbolic tensor decomposition against the oracle's block
+    multiplicities (``_block_multiplicities``), one dict against another.
 
     Returns the list of mismatches (empty on success), each entry ready
-    for JSON serialization.  A budget below 1 would check no pair at all,
-    so it is rejected.
+    for JSON serialization, with the expected blocks descending as in
+    ``JordanType``.  A budget below 1 would check no pair at all, so it
+    is rejected; p is checked once, as ``jordan_type`` checks it.
     """
     from . import core_ring
 
@@ -371,17 +427,18 @@ def verify_engine(
         raise ValueError(f"budget must be at least 1, got {budget}")
     group = core_ring.GroupSpec(p, alpha)
     q = group.q
+    _require_prime(p)
     mismatches = []
     for s in range(1, min(q, budget) + 1):
         for r in range(1, min(s, budget // s) + 1):
-            expected = jordan_type(p, r, s, budget=budget)
+            expected = _block_multiplicities(p, r, s)
             got = core_ring.tensor(group, r, s)
-            if got.coeffs != expected.multiplicities():
+            if got.coeffs != expected:
                 mismatches.append(
                     {
                         "r": r,
                         "s": s,
-                        "expected": list(expected.blocks),
+                        "expected": list(_descending(expected)),
                         "got": got.to_json_dict(),
                     }
                 )

@@ -16,7 +16,10 @@ another way, kept here so the tests can compare the two:
   echelon basis;
 * ``trick_text_per_digit``: a digit certificate's text, formatting every
   digit of every term, against ``TrickCertificate.to_text``, which joins
-  the labels of whole digit chunks.
+  the labels of whole digit chunks;
+* ``jordan_type_elder``: the Jordan type of V_r (x) V_s by the elder rule
+  on the columns of the scalar presentation matrix, against the oracle's
+  Euclidean remainder degrees.
 
 The tests import it as ``from crosschecks import ...``; pytest puts this
 directory on ``sys.path``.
@@ -24,12 +27,14 @@ directory on ``sys.path``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from greenring.core_ring import GroupSpec, RingElement
-from greenring.digits import TrickCertificate
+from greenring.digits import TrickCertificate, VerificationError
+from greenring.oracle import JordanType
 
 
 def evaluate(coeffs: tuple[int, ...], x: int) -> int:
@@ -156,3 +161,59 @@ def trick_text_per_digit(cert: TrickCertificate) -> str:
         for _, digs, product in reversed(cert.terms)
     ]
     return f"{cert.n} = " + " + ".join(parts)
+
+
+@functools.cache
+def _presentation_column(p: int, s: int) -> tuple[int, ...]:
+    """(-1)^k C(s, k) mod p for k < s: column 0 of the presentation matrix
+    for every r <= s."""
+    return tuple((-1) ** k * math.comb(s, k) % p for k in range(s))
+
+
+def jordan_type_elder(p: int, r: int, s: int) -> JordanType:
+    """Jordan type of V_r (x) V_s over F_p, p prime, by the elder rule on
+    the r x r scalar presentation matrix A[i, j] = (-1)^(i-j) C(s, i-j)
+    mod p (the ``oracle`` module docstring).
+
+    Columns are reduced left to right, each by the earlier column that
+    owns its lowest nonzero row; column j ending at row i is one block of
+    size s + j - i.  Column j starts from reduced column j - 1 shifted
+    down a row, which lies in the same coset of the earlier columns as
+    column j itself.  Columns are lists cut after their lowest nonzero
+    row, so a column that ended above the last row shifts with no row
+    falling off; a step replaces col by d col - c own with d = own[low]
+    and c = col[low], so no modular inverse is taken.
+    """
+    if r > s:
+        r, s = s, r
+    col = list(_presentation_column(p, s)[:r])
+    owner: dict[int, list[int]] = {}  # lowest row -> reduced column ending there
+    blocks = []
+    for j in range(r):
+        if len(col) < r:
+            col = [0, *col]
+        else:
+            if j:  # column 0 holds all r rows and is not shifted
+                col = [0, *col[: r - 1]]
+            while col and not col[-1]:
+                col.pop()
+            if not col:
+                raise VerificationError(f"start of column {j} is zero for p={p}, r={r}, s={s}")
+        low = len(col) - 1
+        while low in owner:
+            own = owner[low]
+            d, c = own[low], col[low]
+            col = [(d * x - c * y) % p for x, y in zip(col, own)]
+            while col and not col[-1]:
+                col.pop()
+            if len(col) > low or not col:
+                raise VerificationError(
+                    f"presentation reduction stalled at row {low} for p={p}, r={r}, s={s}"
+                )
+            low = len(col) - 1
+        owner[low] = col
+        blocks.append(s + j - low)
+    jt = JordanType(tuple(blocks))
+    if jt.dimension != r * s:
+        raise VerificationError(f"presentation reduction inconsistent for p={p}, r={r}, s={s}")
+    return jt

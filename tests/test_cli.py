@@ -201,6 +201,23 @@ class TestRankVerifyRelations:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "budget" in err
 
+    def test_verify_reports_a_wrong_pair(self, run, monkeypatch):
+        # an engine wrong at (3, 4) for p = 5 only: exit 1, and the JSON
+        # entry lists the expected blocks descending
+        real = core_ring._tensor_level
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(
+            core_ring,
+            "_tensor_level",
+            lambda p, pb, r, s, rest: {4: 2, 2: 2} if (r, s) == (3, 4) else real(p, pb, r, s, rest),
+        )
+        code, out, _ = run("verify", "--p", "5", "--alpha", "1", "--format", "json")
+        assert (code, out) == (
+            1,
+            '[{"r":3,"s":4,"expected":[5,5,2],"got":{"p":5,"alpha":1,"coeffs":{"2":2,"4":2}}}]\n',
+        )
+        assert run("verify", "--p", "5", "--alpha", "1") == (1, "1 mismatches\n", "")
+
     def test_verify_rejects_int64_unsafe_prime(self, run):
         code, out, err = run("verify", "--p", "4294967311", "--alpha", "1")
         assert (code, out) == (2, "")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from crosschecks import rank_mod_p_pivoting
+from crosschecks import jordan_type_elder, rank_mod_p_pivoting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +18,7 @@ from greenring.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     JordanType,
+    _block_multiplicities,
     _echelon_basis,
     _first_column,
     _times_nilpotent,
@@ -211,6 +212,23 @@ class TestJordanType:
         for r, s in ((15, 15), (16, 16), (2, 64), (3, 80)):
             assert jordan_type(p, r, s) == jordan_type_dense(p, r, s), (r, s)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_equals_elder_rule_cross_check(self, p):
+        # Euclidean remainder degrees vs the column-by-column elder rule
+        # on the same presentation, every r <= s <= 64
+        for s in range(1, 65):
+            for r in range(1, s + 1):
+                assert jordan_type(p, r, s) == jordan_type_elder(p, r, s), (r, s)
+
+    def test_block_multiplicities_ascending(self):
+        # one entry per remainder, sizes strictly increasing
+        assert _block_multiplicities(5, 3, 4) == {2: 1, 5: 2}
+        for p in (2, 3, 7):
+            for s in range(1, 40):
+                for r in range(1, s + 1):
+                    sizes = list(_block_multiplicities(p, r, s))
+                    assert sizes == sorted(set(sizes)), (p, r, s)
+
     def test_sweep_over_r_builds_few_first_columns(self):
         # an ascending sweep over r asks for lengths 1, 2, 4, ... and s
         for p, s in ((5, 100), (2, 128)):
@@ -318,6 +336,19 @@ class TestVerifyEngine:
         with pytest.raises(ValueError, match="budget"):
             verify_engine(3, 2, budget=budget)
 
+    def test_wrong_pair_is_reported(self, monkeypatch):
+        # an engine that answers V_3 (x) V_4 = 2 V_4 + 2 V_2 at p = 5: the
+        # entry lists the expected blocks descending and the engine's answer
+        real = core_ring._tensor_level
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(
+            core_ring,
+            "_tensor_level",
+            lambda p, pb, r, s, rest: {4: 2, 2: 2} if (r, s) == (3, 4) else real(p, pb, r, s, rest),
+        )
+        got = {"p": 5, "alpha": 1, "coeffs": {"2": 2, "4": 2}}
+        assert verify_engine(5, 1) == [{"r": 3, "s": 4, "expected": [5, 5, 2], "got": got}]
+
     def test_large_group_small_budget_is_bounded(self):
         # q = 2^16 has about 2e9 pairs; only the 144 within budget are visited
         assert verify_engine(2, 16, budget=64) == []
@@ -374,10 +405,9 @@ def _run_python(*args):
     )
 
 
-def test_zero_start_column_raises_under_optimize():
-    # with C(s, k) read as 0 except at k = r - 1, column 0 ends at the last
-    # row and its shift is zero; the check is a plain if, so it holds
-    # under python -O
+def test_remainders_above_constant_raise_under_optimize():
+    # with C(s, k) read as 0 except at k = 2, f mod x^3 is x^2, which
+    # divides x^3; the check is a plain if, so it holds under python -O
     script = (
         "import types\n"
         "from greenring import digits, oracle\n"
@@ -389,7 +419,37 @@ def test_zero_start_column_raises_under_optimize():
     )
     done = _run_python("-O", "-c", script)
     assert (done.returncode, done.stdout) == (
-        0, "start of column 1 is zero for p=5, r=3, s=4\n"
+        0, "remainders of x^3 and (1 - x)^4 over F_5 end at degree 2, not 0\n"
+    ), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_block_size_sum_raises_under_optimize():
+    # a first remainder step that stops after one row operation leaves
+    # x^3 mod (1 - x) at degree 2, above its divisor: the degrees rise once,
+    # two segments share a size and the dict keeps one of them
+    script = (
+        "from greenring import digits, oracle\n"
+        "real = oracle._remainder\n"
+        "calls = []\n"
+        "def one_row(a, b, p):\n"
+        "    calls.append(None)\n"
+        "    if len(calls) > 1:\n"
+        "        return real(a, b, p)\n"
+        "    c = a[0] * pow(b[0], -1, p) % p\n"
+        "    a = [(x - c * y) % p for x, y in zip(a, b + [0] * len(a))]\n"
+        "    while a and not a[0]:\n"
+        "        del a[0]\n"
+        "    return a\n"
+        "oracle._remainder = one_row\n"
+        "try:\n"
+        "    oracle.jordan_type(3, 3, 4)\n"
+        "except digits.VerificationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_python("-O", "-c", script)
+    assert (done.returncode, done.stdout) == (
+        0, "block sizes sum to 16, not 12, for p=3, r=3, s=4\n"
     ), done.stderr
 
 
