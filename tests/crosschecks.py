@@ -17,9 +17,13 @@ another way, kept here so the tests can compare the two:
 * ``trick_text_per_digit``: a digit certificate's text, formatting every
   digit of every term, against ``TrickCertificate.to_text``, which joins
   the labels of whole digit chunks;
+* ``block_multiplicities_euclid``: the block size -> multiplicity dict of
+  V_r (x) V_s from the Euclidean remainders of x^r and (1 - x)^s over F_p
+  (``poly_remainder``, from the presentation's ``first_column``), against
+  the oracle's box criterion, which reads the same remainder degrees off
+  p-adic valuations of box counts;
 * ``jordan_type_elder``: the Jordan type of V_r (x) V_s by the elder rule
-  on the columns of the scalar presentation matrix, against the oracle's
-  Euclidean remainder degrees.
+  on the columns of the scalar presentation matrix, against both.
 
 The tests import it as ``from crosschecks import ...``; pytest puts this
 directory on ``sys.path``.
@@ -29,12 +33,14 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from greenring.core_ring import GroupSpec, RingElement
 from greenring.digits import TrickCertificate, VerificationError
 from greenring.oracle import JordanType
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def evaluate(coeffs: tuple[int, ...], x: int) -> int:
@@ -130,6 +136,8 @@ def rank_mod_p_pivoting(work: np.ndarray, p: int) -> int:
     """Row-echelon rank of an int64 array with entries in 0..p-1, reducing
     `work` in place: pivot on the leading column, swap the pivot row up,
     scale it to 1 and clear the column below it in one outer product."""
+    import numpy as np
+
     rows, cols = work.shape
     rank = 0
     for c in range(cols):
@@ -163,11 +171,77 @@ def trick_text_per_digit(cert: TrickCertificate) -> str:
     return f"{cert.n} = " + " + ".join(parts)
 
 
-@functools.cache
-def _presentation_column(p: int, s: int) -> tuple[int, ...]:
-    """(-1)^k C(s, k) mod p for k < s: column 0 of the presentation matrix
-    for every r <= s."""
-    return tuple((-1) ** k * math.comb(s, k) % p for k in range(s))
+@functools.lru_cache(maxsize=128)
+def first_column(p: int, s: int, length: int) -> tuple[int, ...]:
+    """The first ``length`` rows of column 0 of the presentation matrix,
+    (-1)^k C(s, k) mod p for k < length, as a tuple no caller can alter.
+
+    The rows of column 0 for r are the first r rows of it for any larger
+    r, so ``block_multiplicities_euclid`` asks for the length r rounded up
+    to a power of two (at most s): a sweep over r = 1..s for one s builds
+    at most ceil(log2 s) + 1 columns, and a single query at most 2r
+    entries."""
+    return tuple((-1) ** k * math.comb(s, k) % p for k in range(length))
+
+
+def poly_remainder(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, p prime, for coefficient lists with the leading
+    coefficient first and nonzero, reducing a in place; the remainder
+    comes back in the same form, [] for zero.  Each row operation clears
+    the leading coefficient at position i with a multiple of b, touching
+    only the positions where b has a nonzero coefficient after its
+    leading one (by Lucas, (1 - x)^s and many of its remainders are
+    sparse when p is small)."""
+    inv = pow(b[0], -1, p)
+    terms = [(k, y) for k, y in enumerate(b[1:], 1) if y]
+    top = len(a) - len(b) + 1
+    for i in range(top):
+        if c := a[i]:
+            c = c * inv % p
+            for k, y in terms:
+                k += i
+                a[k] = (a[k] - c * y) % p
+    while top < len(a) and not a[top]:
+        top += 1
+    return a[top:]
+
+
+def block_multiplicities_euclid(p: int, r: int, s: int) -> dict[int, int]:
+    """Block size -> multiplicity of V_r (x) V_s over F_p, p prime, for
+    r <= s, sizes ascending, from the Euclidean remainders of x^r and
+    f = (1 - x)^s mod x^r (the ``oracle`` module docstring).
+
+    Remainder degrees r = d_0 > d_1 > ... > d_k = 0 give the block size
+    s + r - d_(i-1) - d_i with multiplicity d_(i-1) - d_i.  f(0) = 1, so
+    the remainders must end at a constant; and the sizes must sum to r s,
+    which they do exactly when the degrees fall from r to 0 and no two
+    segments share a size.
+    """
+    # f mod x^r, leading coefficient first: column 0's first r rows reversed
+    col = first_column(p, s, min(s, 1 << (r - 1).bit_length()))[r - 1 :: -1]
+    lead = 0
+    while lead < r and not col[lead]:
+        lead += 1
+    a, b = [1] + [0] * r, list(col[lead:])
+    blocks: dict[int, int] = {}
+    d = r  # degree of a
+    while b:
+        e = len(b) - 1
+        blocks[s + r - d - e] = d - e
+        d = e
+        if not e:
+            break
+        a, b = b, poly_remainder(a, b, p)
+    if d:
+        raise VerificationError(
+            f"remainders of x^{r} and (1 - x)^{s} over F_{p} end at degree {d}, not 0"
+        )
+    total = sum(size * mult for size, mult in blocks.items())
+    if total != r * s:
+        raise VerificationError(
+            f"block sizes sum to {total}, not {r * s}, for p={p}, r={r}, s={s}"
+        )
+    return blocks
 
 
 def jordan_type_elder(p: int, r: int, s: int) -> JordanType:
@@ -186,7 +260,7 @@ def jordan_type_elder(p: int, r: int, s: int) -> JordanType:
     """
     if r > s:
         r, s = s, r
-    col = list(_presentation_column(p, s)[:r])
+    col = list(first_column(p, s, s)[:r])
     owner: dict[int, list[int]] = {}  # lowest row -> reduced column ending there
     blocks = []
     for j in range(r):

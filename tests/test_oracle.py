@@ -1,13 +1,19 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from crosschecks import jordan_type_elder, rank_mod_p_pivoting
+from crosschecks import (
+    block_multiplicities_euclid,
+    first_column,
+    jordan_type_elder,
+    rank_mod_p_pivoting,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +24,8 @@ from greenring.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     JordanType,
-    _block_multiplicities,
+    _box_blocks,
     _echelon_basis,
-    _first_column,
     _times_nilpotent,
     jordan_type,
     jordan_type_dense,
@@ -214,28 +219,48 @@ class TestJordanType:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_equals_elder_rule_cross_check(self, p):
-        # Euclidean remainder degrees vs the column-by-column elder rule
-        # on the same presentation, every r <= s <= 64
+        # the box criterion vs the column-by-column elder rule on the
+        # presentation, every r <= s <= 64
         for s in range(1, 65):
             for r in range(1, s + 1):
                 assert jordan_type(p, r, s) == jordan_type_elder(p, r, s), (r, s)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_box_criterion_equals_euclid_cross_check(self, p):
+        # the same remainder degrees read off box counts and computed by
+        # the Euclidean algorithm, as dicts in the same order, every
+        # r <= s <= 64
+        for s in range(1, 65):
+            for r in range(1, s + 1):
+                got = list(_box_blocks(p, r, s).items())
+                assert got == list(block_multiplicities_euclid(p, r, s).items()), (r, s)
+
+    def test_box_criterion_equals_euclid_at_random_large_p(self):
+        rng = random.Random(2026)
+        primes = [17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 2**31 - 1]
+        for _ in range(300):
+            p = rng.choice(primes)
+            r = rng.randint(1, 128)
+            s = rng.randint(r, DEFAULT_BUDGET // r)
+            assert _box_blocks(p, r, s) == block_multiplicities_euclid(p, r, s), (p, r, s)
+
     def test_block_multiplicities_ascending(self):
-        # one entry per remainder, sizes strictly increasing
-        assert _block_multiplicities(5, 3, 4) == {2: 1, 5: 2}
-        for p in (2, 3, 7):
-            for s in range(1, 40):
-                for r in range(1, s + 1):
-                    sizes = list(_block_multiplicities(p, r, s))
-                    assert sizes == sorted(set(sizes)), (p, r, s)
+        # one entry per remainder, sizes strictly increasing, on both routes
+        for blocks in (_box_blocks, block_multiplicities_euclid):
+            assert blocks(5, 3, 4) == {2: 1, 5: 2}
+            for p in (2, 3, 7):
+                for s in range(1, 40):
+                    for r in range(1, s + 1):
+                        sizes = list(blocks(p, r, s))
+                        assert sizes == sorted(set(sizes)), (p, r, s)
 
     def test_sweep_over_r_builds_few_first_columns(self):
         # an ascending sweep over r asks for lengths 1, 2, 4, ... and s
         for p, s in ((5, 100), (2, 128)):
-            _first_column.cache_clear()
+            first_column.cache_clear()
             for r in range(1, s + 1):
-                jordan_type(p, r, s)
-            assert _first_column.cache_info().currsize <= math.ceil(math.log2(s)) + 1
+                block_multiplicities_euclid(p, r, s)
+            assert first_column.cache_info().currsize <= math.ceil(math.log2(s)) + 1
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), data=st.data())
@@ -266,6 +291,16 @@ class TestJordanType:
         assert len(lines) == 20677
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_DIGEST
 
+    @pytest.mark.parametrize("p,alpha", [(2, 17), (3, 10)])
+    def test_engine_equals_box_criterion_past_budget(self, p, alpha):
+        # r s far above DEFAULT_BUDGET: the criterion costs O(r) a pair
+        group = core_ring.GroupSpec(p, alpha)
+        rng = random.Random(p * 1000 + alpha)
+        for _ in range(40):
+            r = rng.randint(1000, 20000)
+            s = rng.randint(r, group.q)
+            assert core_ring.tensor(group, r, s).coeffs == _box_blocks(p, r, s), (r, s)
+
     @pytest.mark.parametrize("p,top", [(2**31 - 1, 40), (61, 30)])
     def test_large_p_is_clebsch_gordan(self, p, top):
         # for p >= r + s - 1 the blocks are r+s-1, r+s-3, ..., s-r+1
@@ -292,7 +327,7 @@ class TestFirstColumn:
             full = tuple((-1) ** k * math.comb(s, k) % p for k in range(s))
             lengths = range(s + 1) if s <= 64 else [*(1 << e for e in range(s.bit_length())), s]
             for length in lengths:
-                assert _first_column(p, s, length) == full[:length], (s, length)
+                assert first_column(p, s, length) == full[:length], (s, length)
 
 
 class TestJordanTypeDataclass:
@@ -397,27 +432,50 @@ class TestShiftedProduct:
             jordan_type_dense(5, 3, 4)
 
 
-def _run_python(*args):
+def _run_python(*args, path=()):
     src = str(Path(greenring.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *path])}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
 
 
-def test_remainders_above_constant_raise_under_optimize():
-    # with C(s, k) read as 0 except at k = 2, f mod x^3 is x^2, which
-    # divides x^3; the check is a plain if, so it holds under python -O
+TESTS = str(Path(__file__).resolve().parent)
+
+
+def test_corrupted_w_table_raises_under_optimize():
+    # over F_5, (1 - x)^5 = 1 - x^5 is 1 mod x^3, of degree 0 by Lucas;
+    # with W(6) bumped, m = 1 passes the box criterion for r = 3, s = 5.
+    # The check is a plain if, so it holds under python -O
     script = (
-        "import types\n"
         "from greenring import digits, oracle\n"
-        "oracle.math = types.SimpleNamespace(comb=lambda n, k: int(k == 2))\n"
+        "oracle._w_table(5, 8)[6] += 1\n"
         "try:\n"
-        "    oracle.jordan_type(5, 3, 4)\n"
+        "    oracle.jordan_type(5, 3, 5)\n"
         "except digits.VerificationError as e:\n"
         "    print(e)\n"
     )
     done = _run_python("-O", "-c", script)
+    assert (done.returncode, done.stdout) == (
+        0, "box criterion gives (1 - x)^5 mod x^3 over F_5 degree 1, not 0\n"
+    ), done.stderr
+
+
+def test_remainders_above_constant_raise_under_optimize():
+    # the Euclidean cross-check: with C(s, k) read as 0 except at k = 2,
+    # f mod x^3 is x^2, which divides x^3; the check is a plain if, so it
+    # holds under python -O
+    script = (
+        "import types\n"
+        "import crosschecks\n"
+        "from greenring import digits\n"
+        "crosschecks.math = types.SimpleNamespace(comb=lambda n, k: int(k == 2))\n"
+        "try:\n"
+        "    crosschecks.block_multiplicities_euclid(5, 3, 4)\n"
+        "except digits.VerificationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_python("-O", "-c", script, path=[TESTS])
     assert (done.returncode, done.stdout) == (
         0, "remainders of x^3 and (1 - x)^4 over F_5 end at degree 2, not 0\n"
     ), done.stderr
@@ -425,12 +483,14 @@ def test_remainders_above_constant_raise_under_optimize():
 
 
 def test_block_size_sum_raises_under_optimize():
-    # a first remainder step that stops after one row operation leaves
-    # x^3 mod (1 - x) at degree 2, above its divisor: the degrees rise once,
-    # two segments share a size and the dict keeps one of them
+    # the Euclidean cross-check: a first remainder step that stops after
+    # one row operation leaves x^3 mod (1 - x) at degree 2, above its
+    # divisor: the degrees rise once, two segments share a size and the
+    # dict keeps one of them
     script = (
-        "from greenring import digits, oracle\n"
-        "real = oracle._remainder\n"
+        "import crosschecks\n"
+        "from greenring import digits\n"
+        "real = crosschecks.poly_remainder\n"
         "calls = []\n"
         "def one_row(a, b, p):\n"
         "    calls.append(None)\n"
@@ -441,13 +501,13 @@ def test_block_size_sum_raises_under_optimize():
         "    while a and not a[0]:\n"
         "        del a[0]\n"
         "    return a\n"
-        "oracle._remainder = one_row\n"
+        "crosschecks.poly_remainder = one_row\n"
         "try:\n"
-        "    oracle.jordan_type(3, 3, 4)\n"
+        "    crosschecks.block_multiplicities_euclid(3, 3, 4)\n"
         "except digits.VerificationError as e:\n"
         "    print(e)\n"
     )
-    done = _run_python("-O", "-c", script)
+    done = _run_python("-O", "-c", script, path=[TESTS])
     assert (done.returncode, done.stdout) == (
         0, "block sizes sum to 16, not 12, for p=3, r=3, s=4\n"
     ), done.stderr
@@ -493,16 +553,17 @@ def test_numpy_loads_only_for_the_dense_path():
 
 
 def test_import_builds_no_table():
-    # import greenring must stay cheap: the first columns and the digit
+    # import greenring must stay cheap: the W tables and the digit
     # tables fill on first use, not at import
     script = (
         "import greenring\n"
         "from greenring import cli, digits, oracle\n"
-        "caches = (oracle._first_column, digits._chunk_tables, digits._chunk_labels)\n"
-        "print([c.cache_info().currsize for c in caches])\n"
+        "caches = (digits._chunk_tables, digits._chunk_labels)\n"
+        "sizes = lambda: [len(oracle._W_TABLES), *(c.cache_info().currsize for c in caches)]\n"
+        "print(sizes())\n"
         "cli.main(['trick', '62', '--base', '5'])\n"
         "oracle.jordan_type(5, 3, 4)\n"
-        "print([c.cache_info().currsize for c in caches])\n"
+        "print(sizes())\n"
     )
     done = _run_python("-c", script)
     assert (done.returncode, done.stdout) == (
