@@ -8,11 +8,11 @@ V_j with j <= p^i; it takes no ring product, so the U-basis does not use
 the tensor engine or its memo (the ring product of the factors is its
 cross-check in the tests).  The U_j form a second Z-basis:
 each V_r is a multiplicity-free 0/1 sum of U_j.  The index set comes from
-the digit-splitting recursion (``digits.split_indices``, exposed level by
-level as ``curly_u``); the change of basis takes that route.  The cousins
-closed form (``v_in_u``) derives the same set independently and is kept
-as the cross-check.  The V-to-U matrix is lower triangular with unit
-diagonal; rendered as a bitmap it shows a Sierpinski-like pattern.
+the digit-splitting recursion (``digits.split_indices``); the change of
+basis takes that route.  The cousins closed form (``v_in_u``) derives
+the same set independently and is kept as the cross-check.  The V-to-U
+matrix is lower triangular with unit diagonal; rendered as a bitmap it
+shows a Sierpinski-like pattern.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "IntMatrix",
     "u_element",
     "cousins",
-    "curly_u",
     "change_of_basis",
     "render_matrix",
 ]
@@ -152,8 +151,9 @@ def v_in_u(group: GroupSpec, r: int) -> tuple[int, ...]:
     """Ascending indices j with V_r = sum of U_j: all j such that q - r is
     a cousin of q - j in base p.
 
-    Closed-form cross-check of the splitting recursion (``curly_u``): it
-    scans q cousin sets, so the change of basis does not use it.
+    Closed-form cross-check of the splitting recursion
+    (``digits.split_indices``): it scans q cousin sets, so the change of
+    basis does not use it.
     """
     if not 1 <= r <= group.q:
         raise ValueError(f"index {r} outside 1..{group.q}")
@@ -161,16 +161,6 @@ def v_in_u(group: GroupSpec, r: int) -> tuple[int, ...]:
     return tuple(
         j for j in range(1, group.q + 1) if target in cousins(group.q - j, group.p)
     )
-
-
-def curly_u(group: GroupSpec, r: int, beta: int) -> tuple[int, ...]:
-    """Ascending index set of the splitting recursion run down from level
-    beta; beta = alpha gives the U-basis support of V_r."""
-    if not 1 <= r <= group.q:
-        raise ValueError(f"index {r} outside 1..{group.q}")
-    if not 0 <= beta <= group.alpha:
-        raise ValueError(f"level {beta} outside 0..{group.alpha}")
-    return tuple(sorted(digits.split_indices(r, group.p, beta)))
 
 
 # The change of basis is a dense q x q matrix, and its rendering takes about

@@ -8,7 +8,7 @@ oracle sweeps bound their runtime via the stated dimension budget.
 import numpy as np
 
 from greenring.core_ring import GroupSpec, tensor
-from greenring.digits import is_prime, trick_certificate
+from greenring.digits import is_prime, split_indices, trick_certificate
 from greenring.ideals import (
     CyclicGroupSpec,
     ideal_lattice,
@@ -18,7 +18,7 @@ from greenring.ideals import (
 )
 from greenring.oracle import verify_engine
 from greenring.quantum import relations
-from greenring.ubasis import change_of_basis, curly_u, u_element, v_in_u
+from greenring.ubasis import change_of_basis, u_element, v_in_u
 
 from crosschecks import evaluate, quantum_closed_form, quantum_number
 
@@ -57,7 +57,7 @@ def test_criterion_02_u12_worked_example():
 def test_criterion_03_index_62_and_certificate():
     group = GroupSpec(5, 3)
     closed = v_in_u(group, 62)
-    recursive = curly_u(group, 62, 3)
+    recursive = tuple(sorted(split_indices(62, 5, 3)))
     cert = trick_certificate(62, 5)
     products = sorted((prod for _, _, prod in cert.terms), reverse=True)
     ok = (

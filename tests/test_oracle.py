@@ -34,7 +34,8 @@ from greenring.oracle import (
     verify_engine,
 )
 
-# A prime with p*(p-1) >= 2^63, beyond what int64 elimination can hold.
+# A prime with p*(p-1) >= 2^63, beyond what int64 elimination could hold;
+# the oracle works in Python ints and takes it.
 INT64_UNSAFE_PRIME = 4294967311
 # The largest prime with p*(p-1) < 2^63; the next prime is 3037000507.
 LARGEST_ADMITTED_PRIME = 3037000493
@@ -44,18 +45,28 @@ LARGEST_ADMITTED_PRIME = 3037000493
 SWEEP_DIGEST = "1f25a4ed0725d3a3bbc30eba7856c5e72fe8045a8a25846c4992e25cc6887a19"
 
 
+def _dense(rows, n):
+    """Rows {column: residue} as lists of length n."""
+    return [[row.get(c, 0) for c in range(n)] for row in rows]
+
+
+def _rows(matrix):
+    """A numpy matrix as rows {column: entry} on its nonzero entries."""
+    return [{c: int(v) for c, v in enumerate(row) if v} for row in matrix]
+
+
 class TestGeneratorMatrix:
     def test_trivial(self):
-        assert tensor_generator_matrix(5, 1, 1).tolist() == [[1]]
+        assert _dense(tensor_generator_matrix(5, 1, 1), 1) == [[1]]
 
     def test_identity_factor(self):
         m = tensor_generator_matrix(3, 2, 1)
-        assert m.tolist() == [[1, 0], [1, 1]]
+        assert _dense(m, 2) == [[1, 0], [1, 1]]
 
     def test_kron_2x2_mod2(self):
         m = tensor_generator_matrix(2, 2, 2)
         j2 = np.array([[1, 0], [1, 1]])
-        assert np.array_equal(m, np.kron(j2, j2) % 2)
+        assert _dense(m, 4) == (np.kron(j2, j2) % 2).tolist()
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -73,13 +84,17 @@ class TestRankFp:
         with pytest.raises(ValueError):
             rank_fp(6, [[1]])
 
-    def test_rejects_int64_unsafe_prime(self):
-        with pytest.raises(ValueError, match="int64"):
-            rank_fp(INT64_UNSAFE_PRIME, [[1]])
+    def test_prime_beyond_int64(self):
+        p = INT64_UNSAFE_PRIME
+        assert rank_fp(p, [[1]]) == 1
+        # dependent only mod p; d a - c b would overflow int64
+        assert rank_fp(p, [[1, 2], [p + 1, 2 * p + 2]]) == 1
+        assert rank_fp(p, [[p - 1, p - 1], [p - 1, 1]]) == 2
 
     def test_requires_two_dimensions(self):
-        with pytest.raises(ValueError):
-            rank_fp(5, [1, 2, 3])
+        for entries in ([1, 2, 3], [[[1]]], [[1, 2], [3]]):
+            with pytest.raises(ValueError):
+                rank_fp(5, entries)
 
     def test_identity(self):
         assert rank_fp(7, np.eye(5, dtype=int)) == 5
@@ -88,7 +103,7 @@ class TestRankFp:
         assert rank_fp(3, np.zeros((4, 4), dtype=int)) == 0
 
     def test_nilpotent_block(self):
-        n = (tensor_generator_matrix(3, 3, 1) - np.eye(3, dtype=int)) % 3
+        n = (np.array(_dense(tensor_generator_matrix(3, 3, 1), 3)) - np.eye(3, dtype=int)) % 3
         assert rank_fp(3, n) == 2
 
     def test_rank_counts_mod_p(self):
@@ -106,10 +121,10 @@ class TestRankFp:
         p = LARGEST_ADMITTED_PRIME
         assert p * (p - 1) < 2**63 <= 3037000507 * 3037000506
         assert rank_fp(p, [[p - 1] * 4] * 4) == 1
-        # rows -(1, 1) and (-1, 1) are independent; (p-1)^2 fits in int64
+        # rows -(1, 1) and (-1, 1) are independent
         assert rank_fp(p, [[p - 1, p - 1], [p - 1, 1]]) == 2
-        basis = _echelon_basis(np.full((3, 3), p - 1, dtype=np.int64), p)
-        assert basis.tolist() == [[p - 1] * 3]
+        basis = _echelon_basis([dict.fromkeys(range(3), p - 1) for _ in range(3)], p)
+        assert basis == [{0: 1, 1: 1, 2: 1}]
 
 
 @st.composite
@@ -135,20 +150,23 @@ class TestEchelonBasis:
     @given(_matrices_mod_p())
     def test_rank_equals_pivoting_cross_check(self, case):
         p, matrix = case
-        basis = _echelon_basis(matrix.copy(), p)
+        basis = _echelon_basis(_rows(matrix), p)
         assert len(basis) == rank_mod_p_pivoting(matrix.copy(), p)
-        # residues, one trailing column per row, and the same row space
-        assert ((0 <= basis) & (basis < p)).all()
-        trailing = [int(row.nonzero()[0][-1]) for row in basis]
+        # nonzero residues, one trailing column per row, each ending in 1,
+        # and the same row space
+        assert all(0 < v < p for row in basis for v in row.values())
+        trailing = [max(row) for row in basis]
         assert len(set(trailing)) == len(trailing)
-        stacked = np.vstack([matrix, basis])
+        assert all(row[low] == 1 for row, low in zip(basis, trailing))
+        cols = matrix.shape[1]
+        stacked = np.vstack([matrix, np.array(_dense(basis, cols), dtype=np.int64).reshape(-1, cols)])
         assert rank_mod_p_pivoting(stacked, p) == len(basis)
 
     @given(_matrices_mod_p(), st.data())
     def test_rank_invariant_under_row_permutation(self, case, data):
         p, matrix = case
         order = data.draw(st.permutations(range(len(matrix))), label="order")
-        assert len(_echelon_basis(matrix[order], p)) == len(_echelon_basis(matrix.copy(), p))
+        assert len(_echelon_basis(_rows(matrix[order]), p)) == len(_echelon_basis(_rows(matrix), p))
 
     def test_empty_shapes(self):
         assert rank_fp(3, np.zeros((0, 4), dtype=int)) == 0
@@ -186,9 +204,10 @@ class TestJordanType:
         with pytest.raises(BudgetExceeded):
             jordan_type(2, 150, 150, budget=16384)
 
-    def test_rejects_int64_unsafe_prime(self):
-        with pytest.raises(ValueError, match="int64"):
-            jordan_type(INT64_UNSAFE_PRIME, 9, 13)
+    def test_prime_beyond_int64(self):
+        # p >= r + s - 1, so the blocks are r+s-1, r+s-3, ..., s-r+1
+        assert jordan_type(INT64_UNSAFE_PRIME, 9, 13).blocks == (21, 19, 17, 15, 13, 11, 9, 7, 5)
+        assert jordan_type_dense(INT64_UNSAFE_PRIME, 3, 4).blocks == (6, 4, 2)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_fast_path_equals_dense_rank_sequence(self, p):
@@ -311,7 +330,7 @@ class TestJordanType:
     def test_multiplicity_formula_sanity(self):
         # number of blocks = rank(N^0) - rank(N^1)
         p, r, s = 3, 5, 7
-        g = tensor_generator_matrix(p, r, s)
+        g = np.array(_dense(tensor_generator_matrix(p, r, s), r * s))
         n = (g - np.eye(r * s, dtype=np.int64)) % p
         blocks = len(jordan_type(p, r, s).blocks)
         assert r * s - rank_fp(p, n) == blocks
@@ -398,19 +417,24 @@ class TestShiftedProduct:
     )
     def test_equals_dense_product(self, p, r, s):
         n = r * s
-        nilpotent = (tensor_generator_matrix(p, r, s) - np.eye(n, dtype=np.int64)) % p
+        g = np.array(_dense(tensor_generator_matrix(p, r, s), n))
+        nilpotent = (g - np.eye(n, dtype=np.int64)) % p
         rows = np.random.default_rng(r * s).integers(0, p, size=(7, n))
-        got = _times_nilpotent(rows, r, s, p)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, rows @ nilpotent % p)
+        got = _times_nilpotent(_rows(rows), s, p)
+        assert _dense(got, n) == (rows @ nilpotent % p).tolist()
 
     def test_checked_against_generator(self, monkeypatch):
-        def without_corner(basis, r, s, p):
-            rows = basis.reshape(-1, r, s)
-            out = np.zeros_like(rows)
-            out[:, :-1, :] += rows[:, 1:, :]
-            out[:, :, :-1] += rows[:, :, 1:]
-            return out.reshape(-1, r * s) % p
+        def without_corner(rows, s, p):
+            out = []
+            for row in rows:
+                prod = {}
+                for c, v in row.items():
+                    if c >= s:
+                        prod[c - s] = prod.get(c - s, 0) + v
+                    if c % s:
+                        prod[c - 1] = prod.get(c - 1, 0) + v
+                out.append({c: v % p for c, v in prod.items() if v % p})
+            return out
 
         monkeypatch.setattr(oracle, "_times_nilpotent", without_corner)
         with pytest.raises(VerificationError, match="shifted product"):
@@ -458,6 +482,27 @@ def test_corrupted_w_table_raises_under_optimize():
     done = _run_python("-O", "-c", script)
     assert (done.returncode, done.stdout) == (
         0, "box criterion gives (1 - x)^5 mod x^3 over F_5 degree 1, not 0\n"
+    ), done.stderr
+
+
+def test_corrupted_w_table_past_lucas_raises_under_optimize():
+    # with W(150) bumped at p = 5, m = 1 passes the box criterion for
+    # r = 51, s = 101, where r + s - 2 = 150 and 50 + 100 carries in base 5;
+    # the largest degree is still right, so only the Kummer check on
+    # degree 1 sees it.  It is a plain if, so it holds under python -O
+    script = (
+        "from greenring import digits, oracle\n"
+        "oracle._w_table(5, 152)[150] += 1\n"
+        "try:\n"
+        "    oracle.jordan_type(5, 51, 101)\n"
+        "except digits.VerificationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_python("-O", "-c", script)
+    assert (done.returncode, done.stdout) == (
+        0,
+        "box criterion keeps degree 1 of x^51 and (1 - x)^101 over F_5, "
+        "against C(150, 50) by Kummer\n",
     ), done.stderr
 
 
@@ -535,21 +580,47 @@ def test_nilpotent_rank_check_raises_under_optimize():
     ), done.stderr
 
 
-def test_numpy_loads_only_for_the_dense_path():
-    # the package and every CLI command, verify included, run without
-    # numpy; the dense cross-check and rank_fp load it
+def test_package_runs_without_numpy():
+    # with numpy unimportable, the package, every CLI command and the
+    # dense cross-check run
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
         "import greenring\n"
-        "print('numpy' in sys.modules)\n"
         "from greenring import cli, oracle\n"
-        "cli.main(['verify', '--p', '3', '--alpha', '2'])\n"
-        "print('numpy' in sys.modules)\n"
-        "oracle.rank_fp(3, [[1]])\n"
-        "print('numpy' in sys.modules)\n"
+        "for argv in (\n"
+        "    ['tensor', '--p', '5', '--alpha', '3', '2', '11'],\n"
+        "    ['ubasis', '--p', '5', '--alpha', '3', '12'],\n"
+        "    ['cousins', '63', '--base', '5'],\n"
+        "    ['matrix', '--p', '2', '--alpha', '2'],\n"
+        "    ['trick', '62', '--base', '5'],\n"
+        "    ['rank', '12', '--p', '2'],\n"
+        "    ['verify', '--p', '3', '--alpha', '2'],\n"
+        "    ['relations', '--p', '5', '--alpha', '2'],\n"
+        "):\n"
+        "    print(cli.main(argv))\n"
+        "print(oracle.jordan_type_dense(5, 3, 4).blocks)\n"
+        "print(oracle.tensor_generator_matrix(3, 2, 1))\n"
+        "print(oracle.rank_fp(3, [[1, 2], [2, 4]]))\n"
     )
     done = _run_python("-c", script)
-    assert (done.returncode, done.stdout) == (0, "False\n0 mismatches\nFalse\nTrue\n"), done.stderr
+    assert (done.returncode, done.stdout.split("\n")) == (
+        0,
+        [
+            "V12 + V10", "0",
+            "V12 - V8 + V2", "0",
+            "37 43 57 63", "0",
+            "1,0,0,0", "0,1,0,0", "1,0,1,0", "0,0,0,1", "0",
+            "62 = (3)(3)(2) + (3)(2)(3) + (2)(3)(3) + (2)(2)(2)", "0",
+            "quotient_rank 4, phi 4", "0",
+            "0 mismatches", "0",
+            "F0 F1 all vanish", "0",
+            "(5, 5, 2)",
+            "[{0: 1}, {0: 1, 1: 1}]",
+            "1",
+            "",
+        ],
+    ), done.stderr
 
 
 def test_import_builds_no_table():

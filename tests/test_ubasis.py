@@ -12,7 +12,6 @@ from greenring.ubasis import (
     _support_bound,
     change_of_basis,
     cousins,
-    curly_u,
     render_matrix,
     u_element,
     v_in_u,
@@ -123,15 +122,18 @@ class TestVInU:
 
 
 class TestCurlyU:
+    """The splitting recursion's index set run down from level beta
+    (``digits.split_indices``), ascending."""
+
     def test_worked_example(self):
-        assert curly_u(G53, 62, 2) == (32, 38, 58, 62)
-        assert curly_u(G53, 62, 3) == (32, 38, 58, 62)
+        assert tuple(sorted(digits.split_indices(62, 5, 2))) == (32, 38, 58, 62)
+        assert tuple(sorted(digits.split_indices(62, 5, 3))) == (32, 38, 58, 62)
 
     def test_level_zero(self):
-        assert curly_u(G53, 62, 0) == (62,)
+        assert tuple(sorted(digits.split_indices(62, 5, 0))) == (62,)
 
     def test_multiple_of_power_single_branch(self):
-        assert curly_u(G53, 50, 2) == (50,)
+        assert tuple(sorted(digits.split_indices(50, 5, 2))) == (50,)
 
     @pytest.mark.parametrize("p,alpha", [(2, 4), (2, 7), (3, 3), (5, 3)])
     def test_top_level_matches_closed_form(self, p, alpha):
@@ -141,13 +143,9 @@ class TestCurlyU:
         matrix = change_of_basis(group, "v_to_u")
         for r in range(1, group.q + 1):
             closed = v_in_u(group, r)
-            assert curly_u(group, r, alpha) == closed
+            assert tuple(sorted(digits.split_indices(r, p, alpha))) == closed
             indicator = tuple(int(j in closed) for j in range(1, group.q + 1))
             assert matrix.entries[r - 1] == indicator, (p, alpha, r)
-
-    def test_level_out_of_range(self):
-        with pytest.raises(ValueError):
-            curly_u(G53, 5, 4)
 
 
 class TestChangeOfBasis:
