@@ -13,28 +13,56 @@ N = g - 1 by elimination over F_p, and block multiplicities via
 
     mult(k) = rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)).
 
-Matrices are lists of rows {column: residue} holding the nonzero
-residues, in Python ints, so any prime p is taken.  Each power is taken
-on an echelon basis of the row space of the previous one, so the
+Each row is one Python int with one F-bit field per column holding a
+residue (Kronecker substitution), so any prime p is taken and each row
+operation is a few big-int operations.  Column c = i s + j sits in field
+c + c // s: every run of s columns is followed by one zero guard field,
+and a row of n = r s columns is at most (n + r - 1) F bits.  Each power is
+taken on an echelon basis of the row space of the previous one, so the
 matrices shrink as the ranks fall; the product with N is three shifted
-copies of that basis (N = L (x) 1 + 1 (x) L + L (x) L for the
-subdiagonal shift L), checked once against g - 1.
+copies of that basis (N = L (x) 1 + 1 (x) L + L (x) L for the subdiagonal
+shift L), checked once against g - 1.  In fields those are shifts by
+s + 1, 1 and s + 2; the last two move column j = 0 into a guard field,
+and one mask clears the guards.
 
-The echelon basis is keyed by each row's trailing column, which is what
+Every field of a row is reduced mod p at once, by one Barrett step
+(Barrett, CRYPTO '86).  Let a be the bit length of p^2 - 1, so p^2 <= 2^a,
+and take F = 2a + 1, k = a + bits(p) and m = ceil(2^k / p) <= 2^(a+1).
+For a field 0 <= v < p^2, v m < 2^F, so the products of the fields with m
+stay in their own fields; and with m = (2^k + e) / p, 0 <= e < p,
+
+    v m / 2^k = v / p + v e / (p 2^k),
+
+where the second term is below p^2 / 2^k < 1 / p (2^k > p^3), while v / p
+sits at least 1 / p under the next integer: floor(v m / 2^k) =
+floor(v / p).  So (x m) >> k, masked to the low F - k bits of every
+field, holds each field's quotient, and x - p times it holds each field
+mod p, with no field borrowing from the next.  This needs every field
+below p^2 before each reduction, and it is: a product with N sums three
+residues, at most 3 (p - 1); a row step row + (p - c) own gives at most
+(p - 1) + (p - 1)^2; a row scaled to end in 1 is at most (p - 1)^2.
+
+The echelon basis is keyed by each row's trailing field, which is what
 keeps the powers cheap.  Read a row as an r x s array with its trailing
 entry at cell (i, j).  The three shifts move that entry to (i - 1, j),
 (i, j - 1) and (i - 1, j - 1), and every other entry to a cell before
 (i, j - 1); so for j >= 1 the row times N has its trailing entry at
 (i, j - 1), with the same coefficient.  The rows of B N, for an echelon
 basis B of the row space of N^k, therefore keep distinct trailing
-columns, except those whose trailing entry sat at j = 0: at most r of
-them.  Each row is placed by a dict lookup, and only the colliding ones
-are reduced, one at a time, by the step row - c own against an owner
-scaled to end in 1.  At p = 5 and r s in 200..250, the sizes of the
-benchmark's spot checks, a check makes 1,400 to 3,500 such steps
-(median 2,200) and takes 14 to 25 ms, median 18 ms, against 16 to 42 ms,
-median 23 to 30 ms, for the same elimination on fixed-width int64
-arrays (2-vCPU VM, Python 3.11).  That suits a few hundred dimensions.
+fields, and most still end in 1, except those whose trailing entry sat
+at j = 0: at most r of them.  Each row is placed by a dict lookup, and
+only the colliding ones are reduced, one at a time, by the step
+row + (p - c) own against an owner ending in 1; a kept row is scaled by
+an inverse only when it does not end in 1.  Two checks keep a faulty
+reduction from looping: each step must clear the trailing field, and a
+kept row must end in a unit.  At p = 5 and r s in 200..250, the sizes of
+the benchmark's spot checks, a check makes 1,400 to 3,500 such steps
+(median 2,200), 4% of the kept rows need an inverse, and a check takes
+7 to 11 ms, median 9.5 ms, against 17 to 28 ms, median 22 ms, for the
+same elimination on sparse rows {column: residue} (medians of 5
+interleaved fresh processes, 2-vCPU VM, Python 3.11).  At (2, 40, 40) a
+check takes 0.16 to 0.31 s against 0.63 to 1.03 s, and at (5, 40, 40) a
+process peaks at 20.7 MB RSS against 28.2 MB.
 
 ``jordan_type`` works from an r x r presentation and handles the full
 default budget (dimension 16384) quickly.  V_r (x) V_s is the algebra
@@ -246,29 +274,55 @@ def tensor_generator_matrix(
     ]
 
 
-def _echelon_basis(rows: list[dict[int, int]], p: int) -> list[dict[int, int]]:
-    """An echelon basis of the row space over F_p of `rows`, each
-    {column: residue} on its nonzero residues; the rows are reduced in
-    place.
+def _barrett(p: int) -> tuple[int, int, int]:
+    """The field width F of a packed row over F_p and the Barrett constants
+    k and m = ceil(2^k / p) that reduce every field below p^2 at once
+    (module docstring)."""
+    a = (p * p - 1).bit_length()
+    k = a + p.bit_length()
+    return 2 * a + 1, k, -(-(1 << k) // p)
 
-    Each basis row owns its trailing column and is scaled to end in 1,
-    by one modular inverse when it is kept.  A row whose trailing column
-    is owned becomes row - c own with c = row[low], which clears column
-    low, and repeats until its trailing column is free or the row is 0.
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """`count` copies of `pattern`, one every `width` bits."""
+    return pattern * ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+def _reduce(x: int, p: int, k: int, m: int, q: int) -> int:
+    """Every field of a packed row mod p, for fields below p^2: x less p
+    times Barrett's quotient of each field, ((x m) >> k) masked by q to
+    the low F - k bits of every field (module docstring)."""
+    return x - p * ((x * m >> k) & q)
+
+
+def _echelon_basis(rows: list[int], p: int) -> list[int]:
+    """An echelon basis of the row space over F_p of `rows`, each packed
+    with one F-bit field per column holding a residue (``_barrett``).
+
+    Each basis row owns its trailing field, the top one, and ends in 1:
+    it is scaled by one modular inverse when it is kept, unless it ends
+    in 1 already.  A row whose trailing field is owned becomes
+    row + (p - c) own with c its top field, reduced, which clears that
+    field, and repeats until its trailing field is free or the row is 0.
+    Every field stays below p^2 before it is reduced, so no field carries
+    into the next; two checks stop a faulty reduction from looping: each
+    step must clear the trailing field, and a kept row must end in a unit.
     """
-    owner: dict[int, dict[int, int]] = {}  # trailing column -> the row that owns it
+    width, k, m = _barrett(p)
+    q = _repeat((1 << width - k) - 1, width, max(rows, default=0).bit_length() // width + 1)
+    owner: dict[int, int] = {}  # trailing field -> the row that owns it
     for row in rows:
-        while row and (low := max(row)) in owner:
-            c = row[low]
-            for k, v in owner[low].items():
-                x = (row.get(k, 0) - c * v) % p
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
+        while row and (low := (row.bit_length() - 1) // width) in owner:
+            row = _reduce(row + (p - (row >> width * low)) * owner[low], p, k, m, q)
+            if not 0 <= row < 1 << width * low:
+                raise VerificationError(f"row step mod {p} left field {low} uncleared")
         if row:
-            inv = pow(row[low], -1, p)
-            owner[low] = {k: v * inv % p for k, v in row.items()}
+            c = row >> width * low
+            if not 0 < c < p:
+                raise VerificationError(f"kept row ends in {c}, not in 1..{p - 1}")
+            if c != 1:
+                row = _reduce(row * pow(c, -1, p), p, k, m, q)
+            owner[low] = row
     return list(owner.values())
 
 
@@ -277,7 +331,8 @@ def rank_fp(p: int, entries) -> int:
     list of lists or an array whose entries take ``operator.index``.
 
     The entries may be any integers, negative or beyond int64: each is
-    reduced mod p as an exact integer (``_echelon_basis``).
+    reduced mod p as an exact integer, and each row is packed into one
+    int with no guard fields for ``_echelon_basis``.
     """
     _require_prime(p)
     try:
@@ -286,31 +341,32 @@ def rank_fp(p: int, entries) -> int:
         raise ValueError("matrix must be two-dimensional, of integers") from None
     if len({len(row) for row in table}) > 1:
         raise ValueError("matrix rows must have one length")
-    rows = [{j: x for j, v in enumerate(row) if (x := v % p)} for row in table]
+    width = _barrett(p)[0]
+    rows = [sum(v % p << width * j for j, v in enumerate(row)) for row in table]
     return len(_echelon_basis(rows, p))
 
 
-def _times_nilpotent(rows: list[dict[int, int]], s: int, p: int) -> list[dict[int, int]]:
-    """rows N mod p for N = J_r (x) J_s - 1 and rows {column: residue} of
-    length r s.
+def _times_nilpotent(rows: list[int], r: int, s: int, p: int) -> list[int]:
+    """rows N mod p for N = J_r (x) J_s - 1 and rows packed with column
+    i s + j in field i (s + 1) + j, a zero guard field after each run of
+    s columns.
 
     J = 1 + L for the subdiagonal shift L, so N = L (x) 1 + 1 (x) L +
     L (x) L, and a row read as an r x s array is multiplied by N as the
     sum of three copies of it shifted by one step: the entry at (i, j)
     goes to (i - 1, j), (i, j - 1) and (i - 1, j - 1), wherever those
-    cells exist.  No dense product is formed.
+    cells exist.  Those are shifts by s + 1, 1 and s + 2 fields; the last
+    two carry column j = 0 into a guard field, which is masked off.  Each
+    field is at most 3 (p - 1) < p^2 before the one reduction.
     """
+    width, k, m = _barrett(p)
+    block = width * (s + 1)
+    keep = _repeat((1 << width * s) - 1, block, r)
+    q = _repeat((1 << width - k) - 1, width, r * (s + 1))
     out = []
-    for row in rows:
-        prod: dict[int, int] = {}
-        for c, v in row.items():
-            if c >= s:
-                prod[c - s] = prod.get(c - s, 0) + v
-            if c % s:
-                prod[c - 1] = prod.get(c - 1, 0) + v
-                if c >= s:
-                    prod[c - s - 1] = prod.get(c - s - 1, 0) + v
-        out.append({c: x for c, v in prod.items() if (x := v % p)})
+    for x in rows:
+        x = (x >> block) + (((x >> width) + (x >> block + width)) & keep)
+        out.append(_reduce(x, p, k, m, q))
     return out
 
 
@@ -324,15 +380,15 @@ def jordan_type_dense(
     N itself is checked: its kernel, the fixed points of g, has dimension
     min(r, s) in every characteristic.
     """
-    nilpotent = tensor_generator_matrix(p, r, s, budget=budget)
+    width = _barrett(p)[0]
+    nilpotent = []
+    for c, row in enumerate(tensor_generator_matrix(p, r, s, budget=budget)):
+        row[c] = row.get(c, 0) - 1
+        nilpotent.append(sum(v % p << width * (d + d // s) for d, v in row.items()))
     n = r * s
-    for c, row in enumerate(nilpotent):
-        row[c] = (row.get(c, 0) - 1) % p
-        if not row[c]:
-            del row[c]
     # the shifted product applied to the identity is N itself, so checking
     # it against g - 1 ties every later power to the Kronecker construction
-    work = _times_nilpotent([{c: 1} for c in range(n)], s, p)
+    work = _times_nilpotent([1 << width * (c + c // s) for c in range(n)], r, s, p)
     if work != nilpotent:
         raise VerificationError(f"shifted product differs from g - 1 for p={p}, r={r}, s={s}")
     del nilpotent
@@ -344,7 +400,7 @@ def jordan_type_dense(
             break
         # basis spans the row space of N^k, so its product with N spans
         # the row space of N^(k+1).
-        work = _times_nilpotent(basis, s, p)
+        work = _times_nilpotent(basis, r, s, p)
     ranks.append(0)
     # the block sizes below sum to n for any rank sequence; this can fail
     if n - ranks[1] != min(r, s):

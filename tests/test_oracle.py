@@ -24,8 +24,11 @@ from greenring.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     JordanType,
+    _barrett,
     _box_blocks,
     _echelon_basis,
+    _reduce,
+    _repeat,
     _times_nilpotent,
     jordan_type,
     jordan_type_dense,
@@ -50,9 +53,34 @@ def _dense(rows, n):
     return [[row.get(c, 0) for c in range(n)] for row in rows]
 
 
-def _rows(matrix):
-    """A numpy matrix as rows {column: entry} on its nonzero entries."""
-    return [{c: int(v) for c, v in enumerate(row) if v} for row in matrix]
+def _field(c, s):
+    """The field of column c in a packed row: c itself, or, with s,
+    c + c // s, a zero guard field following each run of s columns."""
+    return c if s is None else c + c // s
+
+
+def _pack(row, p, s=None):
+    """A row {column: entry} packed as the oracle packs it, one field per
+    column holding the entry mod p."""
+    width = _barrett(p)[0]
+    return sum(int(v) % p << width * _field(c, s) for c, v in row.items())
+
+
+def _rows(matrix, p, s=None):
+    """A matrix as packed rows."""
+    return [_pack(dict(enumerate(row)), p, s) for row in matrix]
+
+
+def _entries(row, p, s=None):
+    """A packed row as {column: field} on its nonzero fields; with s, the
+    guard fields must be zero."""
+    width = _barrett(p)[0]
+    out = {}
+    for f in range(row.bit_length() // width + 1):
+        if v := row >> width * f & (1 << width) - 1:
+            assert s is None or f % (s + 1) < s, f"guard field {f} holds {v}"
+            out[f if s is None else f - f // (s + 1)] = v
+    return out
 
 
 class TestGeneratorMatrix:
@@ -123,8 +151,8 @@ class TestRankFp:
         assert rank_fp(p, [[p - 1] * 4] * 4) == 1
         # rows -(1, 1) and (-1, 1) are independent
         assert rank_fp(p, [[p - 1, p - 1], [p - 1, 1]]) == 2
-        basis = _echelon_basis([dict.fromkeys(range(3), p - 1) for _ in range(3)], p)
-        assert basis == [{0: 1, 1: 1, 2: 1}]
+        basis = _echelon_basis(_rows([[p - 1] * 3] * 3, p), p)
+        assert [_entries(row, p) for row in basis] == [{0: 1, 1: 1, 2: 1}]
 
 
 @st.composite
@@ -150,7 +178,7 @@ class TestEchelonBasis:
     @given(_matrices_mod_p())
     def test_rank_equals_pivoting_cross_check(self, case):
         p, matrix = case
-        basis = _echelon_basis(_rows(matrix), p)
+        basis = [_entries(row, p) for row in _echelon_basis(_rows(matrix, p), p)]
         assert len(basis) == rank_mod_p_pivoting(matrix.copy(), p)
         # nonzero residues, one trailing column per row, each ending in 1,
         # and the same row space
@@ -166,7 +194,7 @@ class TestEchelonBasis:
     def test_rank_invariant_under_row_permutation(self, case, data):
         p, matrix = case
         order = data.draw(st.permutations(range(len(matrix))), label="order")
-        assert len(_echelon_basis(_rows(matrix[order]), p)) == len(_echelon_basis(_rows(matrix), p))
+        assert len(_echelon_basis(_rows(matrix[order], p), p)) == len(_echelon_basis(_rows(matrix, p), p))
 
     def test_empty_shapes(self):
         assert rank_fp(3, np.zeros((0, 4), dtype=int)) == 0
@@ -420,20 +448,20 @@ class TestShiftedProduct:
         g = np.array(_dense(tensor_generator_matrix(p, r, s), n))
         nilpotent = (g - np.eye(n, dtype=np.int64)) % p
         rows = np.random.default_rng(r * s).integers(0, p, size=(7, n))
-        got = _times_nilpotent(_rows(rows), s, p)
-        assert _dense(got, n) == (rows @ nilpotent % p).tolist()
+        got = _times_nilpotent(_rows(rows, p, s), r, s, p)
+        assert _dense([_entries(row, p, s) for row in got], n) == (rows @ nilpotent % p).tolist()
 
     def test_checked_against_generator(self, monkeypatch):
-        def without_corner(rows, s, p):
+        def without_corner(rows, r, s, p):
             out = []
             for row in rows:
                 prod = {}
-                for c, v in row.items():
+                for c, v in _entries(row, p, s).items():
                     if c >= s:
                         prod[c - s] = prod.get(c - s, 0) + v
                     if c % s:
                         prod[c - 1] = prod.get(c - 1, 0) + v
-                out.append({c: v % p for c, v in prod.items() if v % p})
+                out.append(_pack(prod, p, s))
             return out
 
         monkeypatch.setattr(oracle, "_times_nilpotent", without_corner)
@@ -454,6 +482,34 @@ class TestShiftedProduct:
         monkeypatch.setattr(oracle, "_echelon_basis", drop_one_row)
         with pytest.raises(VerificationError, match="rank of g - 1 is 8, not 9"):
             jordan_type_dense(5, 3, 4)
+
+
+# the primes of the reduction tests: the smallest ones, one of 7 bits, and
+# primes just under 2^31, just over 2^32 and at 10^18
+REDUCTION_PRIMES = [2, 3, 5, 7, 101, 2**31 - 1, INT64_UNSAFE_PRIME, 10**18 + 3]
+
+
+class TestBarrettReduction:
+    """One Barrett step reduces every field of a packed row mod p, as long
+    as each field is below p^2."""
+
+    @given(p=st.sampled_from(REDUCTION_PRIMES), data=st.data())
+    def test_equals_fieldwise_mod(self, p, data):
+        fields = data.draw(st.lists(st.integers(0, p * p - 1), min_size=1, max_size=40), label="fields")
+        width, k, m = _barrett(p)
+        q = _repeat((1 << width - k) - 1, width, len(fields))
+        packed = sum(v << width * j for j, v in enumerate(fields))
+        assert _reduce(packed, p, k, m, q) == sum(v % p << width * j for j, v in enumerate(fields))
+
+    @pytest.mark.parametrize("p", REDUCTION_PRIMES)
+    def test_fields_stay_below_p_squared(self, p):
+        # the largest field before a reduction: a product with N, a row
+        # step row + (p - c) own, and a row scaled to end in 1
+        for most in (3 * (p - 1), (p - 1) + (p - 1) ** 2, (p - 1) ** 2):
+            assert most < p * p
+        width, k, m = _barrett(p)
+        q = _repeat((1 << width - k) - 1, width, 1)
+        assert [_reduce(x, p, k, m, q) for x in (p * p - 1, p, p - 1)] == [p - 1, 0, p - 1]
 
 
 def _run_python(*args, path=()):
@@ -578,6 +634,26 @@ def test_nilpotent_rank_check_raises_under_optimize():
     assert (done.returncode, done.stdout) == (
         0, "rank of g - 1 is 8, not 9, for p=5, r=3, s=4\n"
     ), done.stderr
+
+
+def test_faulty_reduction_raises_under_optimize():
+    # with the Barrett multiplier one short, a field at p stays at p, so a
+    # row step leaves its trailing field in place and would repeat
+    # forever; the check is a plain if, so it holds under python -O
+    script = (
+        "from greenring import digits, oracle\n"
+        "real = oracle._barrett\n"
+        "def short_multiplier(p):\n"
+        "    width, k, m = real(p)\n"
+        "    return width, k, m - 1\n"
+        "oracle._barrett = short_multiplier\n"
+        "try:\n"
+        "    oracle.jordan_type_dense(5, 3, 4)\n"
+        "except digits.VerificationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_python("-O", "-c", script)
+    assert (done.returncode, done.stdout) == (0, "row step mod 5 left field 0 uncleared\n"), done.stderr
 
 
 def test_package_runs_without_numpy():
