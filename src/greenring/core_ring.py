@@ -25,13 +25,16 @@ readings; they were discriminated empirically against the brute-force
 oracle (``greenring.oracle``), and the reading implemented here survives
 exhaustive sweeps.  See docs/discrepancies.md for the record.
 
-One reduction copies the whole remainders' product into disjoint blocks
-between consecutive multiples of p^beta, unmerged, by dict
-comprehensions; the terms on multiples of p^beta sit in a slot list and
-overwrite the copies of the one remainder term that lands there,
-V_{p^beta} (see ``_grid``, the one home of the rule).  Every index the
-reduction writes, in a copy, a slot or the carry, goes through one shared
-table of int objects, ``_INDEX``, where _INDEX[i] is the object for i.
+A level is two lists, its indices and its multiplicities, and every
+index is written once.  One reduction copies the whole remainders'
+product into disjoint blocks between consecutive multiples of p^beta:
+the indices by list comprehensions, the multiplicities by list
+repetition.  The terms on multiples of p^beta sit in a slot list; the one
+remainder term that lands there, V_{p^beta}, is cut from the copies by
+its position, last, and counted in the slots (see ``_grid``, the one home
+of the rule).  Every index the reduction writes, in a copy, a slot or the
+carry, goes through one shared table of int objects, ``_INDEX``, where
+_INDEX[i] is the object for i.
 
 The ring product ``mul`` runs the same reduction on whole elements rather
 than pair by pair.  The rule is linear in the remainders' product, so
@@ -48,10 +51,14 @@ groups aggregates, single-term groups included.
 All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict.  It keeps every pair a caller asks for
 (``tensor``, and the pair reads of ``mul``), each once, as a read-only
-mapping that ``tensor`` returns without copying.  An interior pair of a
-digit chain, a remainders' product that a level reads, is kept only up
-to the dimension bound ``_INTERIOR_KEEP_DIM``; a larger one is computed,
-used and dropped.  The per-call table of ``mul`` never enters the memo.
+mapping that ``tensor`` returns without copying.  An entry of more than
+``_SMALL_TERMS`` = 32 terms is a ``_Terms``, a mapping over two tuples
+(indices and multiplicities) at 16 bytes a term, where a dict takes
+about 40; a smaller entry stays a proxy over a dict, whose comparisons
+and iteration run at C speed.  An interior pair of a digit chain, a
+remainders' product that a level reads, is kept only up to the dimension
+bound ``_INTERIOR_KEEP_DIM``; a larger one is computed, used and
+dropped.  The per-call table of ``mul`` never enters the memo.
 Every computed entry, kept or not, is checked for positivity and
 dimension.  The memo's keys are the index table's objects, so the
 memo's terms share about as many int objects as there are distinct
@@ -73,8 +80,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+from collections.abc import ItemsView, Mapping, Sequence
 from types import MappingProxyType
-from typing import Mapping
 
 from .digits import VerificationError, is_prime
 
@@ -143,7 +150,7 @@ class RingElement:
         self.coeffs = MappingProxyType(clean)
 
     @classmethod
-    def _wrap(cls, group: GroupSpec, coeffs: MappingProxyType) -> RingElement:
+    def _wrap(cls, group: GroupSpec, coeffs: Mapping[int, int]) -> RingElement:
         """An element over an already clean read-only mapping, not copied."""
         element = object.__new__(cls)
         element.group = group
@@ -164,7 +171,7 @@ class RingElement:
     def _binop(self, other: RingElement, sign: int) -> RingElement:
         if self.group != other.group:
             raise ValueError("elements live over different groups")
-        out = dict(self.coeffs)
+        out = dict(self.coeffs.items())
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, 0) + sign * c
         return RingElement(self.group, out)
@@ -203,8 +210,7 @@ class RingElement:
         if not self.coeffs:
             return "0"
         parts = []
-        for idx in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[idx]
+        for idx, c in sorted(self.coeffs.items(), reverse=True):
             mag = abs(c)
             term = f"V{idx}" if mag == 1 else f"{mag}V{idx}"
             parts.append(("-" if c < 0 else "+", term))
@@ -222,7 +228,7 @@ class RingElement:
         return {
             "p": self.group.p,
             "alpha": self.group.alpha,
-            "coeffs": {str(i): self.coeffs[i] for i in sorted(self.coeffs)},
+            "coeffs": {str(i): c for i, c in sorted(self.coeffs.items())},
         }
 
 
@@ -252,9 +258,14 @@ def chi(group: GroupSpec, k: int) -> RingElement:
 # Tensor memo: key (p, r, s) with r <= s; the decomposition of
 # V_r (x) V_s depends only on p, never on alpha, because every block is
 # bounded by the p-power envelope of max(r, s).  Values are read-only
-# mappings, shared with every element ``tensor`` returns for the key.
-# Every pair a caller asks for is stored; an interior pair of a digit
-# chain (the remainders' product a level reads) is stored only when
+# mappings, shared with every element ``tensor`` returns for the key
+# (``_memo_entry``): an entry of more than _SMALL_TERMS terms is a _Terms,
+# two tuples at 16 bytes a term against about 40 in a dict, and a smaller
+# one a MappingProxyType over a dict, which compares and iterates at C
+# speed.  After 20,000 cold queries at (5,7) the large entries hold 88% of
+# the memo's terms, while a verify sweep's entries have a median of 3
+# terms and 3 of its 4,546 have more than 32.  Every pair a caller asks for is stored; an interior pair of a
+# digit chain (the remainders' product a level reads) is stored only when
 # r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the larger interior
 # entries hold about half the memo's terms and are almost never read
 # again, so they are computed, checked, used and dropped.  A dimension
@@ -262,6 +273,70 @@ def chi(group: GroupSpec, k: int) -> RingElement:
 # pairs r <= s with r s <= 2^14 (80,840 of them for each p).
 _TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
 _INTERIOR_KEEP_DIM = 2**14
+_SMALL_TERMS = 32
+
+
+class _Terms(Mapping):
+    """A read-only mapping over two tuples, the indices and the
+    multiplicities of a memo entry in the order ``_grid`` wrote them.
+    Looking up one index scans the indices, so callers iterate it
+    (``items()``) rather than index it; ``values()`` is the tuple of
+    multiplicities."""
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: tuple[int, ...], values: tuple[int, ...]):
+        self._keys = keys
+        self._values = values
+
+    def __getitem__(self, key):
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def values(self) -> tuple[int, ...]:
+        return self._values
+
+    def items(self) -> ItemsView:
+        return _TermsItems(self)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(zip(self._keys, self._values)) == other
+
+    def __repr__(self) -> str:
+        return f"_Terms({dict(zip(self._keys, self._values))})"
+
+
+class _TermsItems(ItemsView):
+    """The (index, multiplicity) pairs of a _Terms, zipped afresh on each
+    iteration."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._keys, self._mapping._values)
+
+
+def _memo_entry(idx: list[int], vals: list[int]) -> Mapping[int, int]:
+    """The read-only memo entry for a level's index and multiplicity lists,
+    its terms in the same order."""
+    if len(idx) > _SMALL_TERMS:
+        return _Terms(tuple(idx), tuple(vals))
+    return MappingProxyType(dict(zip(idx, vals)))
 
 # Index table: _INDEX[i] is the one int object for the value i, and
 # ``_grid`` writes every index it builds through it, so the memo's millions
@@ -341,14 +416,16 @@ def _merge(left, right) -> tuple[int, int, int, int]:
 
 def _grid(
     p: int, pb: int, r0: int, s0: int,
-    w: int, wr1: int, ws1: int, boundary: int, rest: Mapping[int, int],
-) -> dict[int, int]:
+    w: int, wr1: int, ws1: int, boundary: int, idx: Sequence[int], vals: Sequence[int],
+) -> tuple[list[int], list[int]]:
     """One level of the digit reduction at pb = p^beta, with r0 <= s0 and
     1 <= s0 < p: sum w V_{r0 p^beta + r1} (x) V_{s0 p^beta + s1} over
     pairs (r1, s1) of weight w, given four sums over the pairs, written
     w = sum w, wr1 = sum w r1, ws1 = sum w s1 and
     boundary = sum w max(0, r1 - s1), and the remainders' product
-    rest = sum w V_{r1} (x) V_{s1} = sum a_j V_{b_j}.
+    rest = sum w V_{r1} (x) V_{s1} = sum a_j V_{b_j} as two sequences, its
+    indices idx = (b_j) and multiplicities vals = (a_j), with b_j = p^beta
+    last when it is there.  Returns the level the same way, as two lists.
     A single pair passes (1, r1, s1, max(0, r1 - s1)); ``mul`` passes the
     sums of a digit-group pair (``_merge``).  This is the one home of the
     rule.
@@ -364,14 +441,18 @@ def _grid(
     b_j < p^beta lands at shift + b_j or shift + 2i p^beta +- b_j, inside
     the open interval (shift + k p^beta, shift + (k+1) p^beta) for k = 0,
     2i - 1 or 2i.  Those intervals are disjoint and hold no multiple of
-    p^beta, so the whole remainder product is copied in by two dict
-    comprehensions, the shifted copies and the mirrored ones, unmerged.
-    Only the collision term b_j = p^beta lands on the grid, at the odd
-    slots: its copies are overwritten by the slot sums, which include it,
-    and a zero slot removes its copy.  Every index written is positive and
-    at most the envelope p^(beta+1), and is written as the index table's
-    object when the table covers the envelope (the caller grows it once
-    per chain or product, ``_grow_index``), otherwise as a plain int."""
+    p^beta, so the indices of the whole remainder product are copied in by
+    two list comprehensions, the shifted copies and the mirrored ones, and
+    its multiplicities by one list repetition.  Only the collision term
+    b_j = p^beta would land on the grid, at the odd slots: it is cut from
+    the copies by its position, last, and its multiplicity goes into the
+    slot sums.  The nonzero slots, in ascending order, and the carry are
+    appended after the copies, so every index is written once, and a term
+    at the envelope p^(beta+1), the collision term of the level above, is
+    written last.  Every index written is positive and at most the
+    envelope, and is written as the index table's object when the table
+    covers the envelope (the caller grows it once per chain or product,
+    ``_grow_index``), otherwise as a plain int."""
     carry, d1, _ = _digit_case(p, r0, s0)
     shift = (s0 - r0) * pb
     index = _INDEX
@@ -381,39 +462,42 @@ def _grid(
     slots[0] = boundary if shift else 0
     if not carry:
         slots[-1] = 0  # d2 = d1: no weight term at k = 2 d1 + 1
-    out: dict[int, int] = {}
-    collide = False
-    if rest:
-        top = rest.get(pb)
-        if top is not None:
-            collide = True
+    out: list[int] = []
+    mult: list[int] = []
+    if idx:
+        if idx[-1] == pb:
+            top = vals[-1]
             for k in range(1, 2 * d1, 2):
                 slots[k] += 2 * top
             slots[-1] += top
-        terms = rest.items()
+            idx, vals = idx[:-1], vals[:-1]
         steps = range(shift + 2 * pb, shift + (2 * d1 + 1) * pb, 2 * pb)
-        out = {index[base + b]: a for base in (shift, *steps) for b, a in terms}
+        out = [index[base + b] for base in (shift, *steps) for b in idx]
         if steps:
-            out.update({index[base - b]: a for base in steps for b, a in terms})
+            out += [index[base - b] for base in steps for b in idx]
+        mult = list(vals) * (1 + 2 * len(steps))
     for k, c in enumerate(slots):
         if c:
-            out[index[shift + k * pb]] = c
-        elif collide:
-            out.pop(shift + k * pb, None)
+            out.append(index[shift + k * pb])
+            mult.append(c)
     if carry:
         c1 = (r0 + s0 - p) * pb * w + wr1 + ws1
         if c1:
-            out[index[pb * p]] = c1
-    return out
+            out.append(index[pb * p])
+            mult.append(c1)
+    return out, mult
 
 
-def _tensor_level(p: int, pb: int, r: int, s: int, rest: Mapping[int, int]) -> dict[int, int]:
+def _tensor_level(
+    p: int, pb: int, r: int, s: int, idx: Sequence[int], vals: Sequence[int],
+) -> tuple[list[int], list[int]]:
     """V_r (x) V_s, r <= s, by one level of the digit reduction at
     pb = p^beta, the leading level of s, from the remainders' product
-    rest = V_{r1} (x) V_{s1} (empty when r1 s1 = 0)."""
+    V_{r1} (x) V_{s1} as indices and multiplicities (empty when r1 s1 = 0),
+    as two lists (``_grid``)."""
     r0, r1 = divmod(r, pb)
     s0, s1 = divmod(s, pb)
-    return _grid(p, pb, r0, s0, 1, r1, s1, r1 - s1 if r1 > s1 else 0, rest)
+    return _grid(p, pb, r0, s0, 1, r1, s1, r1 - s1 if r1 > s1 else 0, idx, vals)
 
 
 def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
@@ -424,42 +508,50 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
     V_{r1} (x) V_{s1}, whose leading level is found by dividing p^beta
     down, and the walk stops at a memo hit or at r1 s1 = 0.  The second
     builds the levels bottom-up (``_tensor_level``), each from the one
-    below.  Both checks run on every computed entry, as plain ifs that
-    survive ``python -O``.  The requested entry is stored as a shared
-    read-only mapping; an interior one only when r s <= _INTERIOR_KEEP_DIM."""
+    below, as index and multiplicity lists.  Both checks run on every
+    computed level, as plain ifs that survive ``python -O``; the lists hold
+    every index once, so a repeated index would add positive dimension and
+    fail the second.  The requested entry is stored as a shared read-only
+    mapping (``_memo_entry``); an interior one only when
+    r s <= _INTERIOR_KEEP_DIM."""
     if r > s:
         r, s = s, r
-    rest = _TENSOR_CACHE.get((p, r, s))
-    if rest is not None:
-        return rest
+    entry = _TENSOR_CACHE.get((p, r, s))
+    if entry is not None:
+        return entry
     _, pb = _leading_level(p, s)
     _grow_index(pb * p)
     chain = []
+    rest: tuple[Sequence[int], Sequence[int]] = ((), ())
     while True:
         chain.append((r, s, pb))
         r1, s1 = r % pb, s % pb
         if not (r1 and s1):
-            rest = {}
             break
         r, s = (r1, s1) if r1 <= s1 else (s1, r1)
-        rest = _TENSOR_CACHE.get((p, r, s))
-        if rest is not None:
+        entry = _TENSOR_CACHE.get((p, r, s))
+        if entry is not None:
+            # an entry keeps the order _grid wrote its terms in
+            if type(entry) is _Terms:
+                rest = entry._keys, entry._values
+            else:
+                rest = tuple(entry), tuple(entry.values())
             break
         while pb > s:
             pb //= p
     top = chain[0]
     for level in reversed(chain):
         r, s, pb = level
-        out = _tensor_level(p, pb, r, s, rest)
+        idx, vals = _tensor_level(p, pb, r, s, *rest)
         key = (p, r, s)
-        if min(out.values(), default=1) <= 0:
+        if min(vals, default=1) <= 0:
             raise VerificationError(f"negative multiplicity at {key}")
-        if sum(map(operator.mul, out, out.values())) != r * s:
+        if sum(map(operator.mul, idx, vals)) != r * s:
             raise VerificationError(f"dimension lost at {key}")
         if level is top or r * s <= _INTERIOR_KEEP_DIM:
-            _TENSOR_CACHE[key] = out = MappingProxyType(out)
-        rest = out
-    return rest
+            entry = _TENSOR_CACHE[key] = _memo_entry(idx, vals)
+        rest = idx, vals
+    return entry
 
 
 def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
@@ -552,9 +644,16 @@ def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
         pb, out, parts = pending.pop(key)
         for r0, s0, sums, sub in parts:
             rest = table[sub] if sub else {}
-            part = rest if sums is None else _grid(p, pb, r0, s0, *sums, rest)
-            for idx, c in part.items():
+            if sums is None:
+                part = rest.items()
+            else:
+                part = zip(*_grid(p, pb, r0, s0, *sums, tuple(rest), tuple(rest.values())))
+            for idx, c in part:
                 out[idx] = out.get(idx, 0) + c
+        # a term at the envelope goes last, where _grid looks for the
+        # collision term when the product is a remainders' product
+        if pb * p in out:
+            out[pb * p] = out.pop(pb * p)
         table[key] = out
         stack.pop()
     return table[a, b]

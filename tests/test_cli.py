@@ -209,7 +209,9 @@ class TestRankVerifyRelations:
         monkeypatch.setattr(
             core_ring,
             "_tensor_level",
-            lambda p, pb, r, s, rest: {4: 2, 2: 2} if (r, s) == (3, 4) else real(p, pb, r, s, rest),
+            lambda p, pb, r, s, idx, vals: (
+                ([4, 2], [2, 2]) if (r, s) == (3, 4) else real(p, pb, r, s, idx, vals)
+            ),
         )
         code, out, _ = run("verify", "--p", "5", "--alpha", "1", "--format", "json")
         assert (code, out) == (
@@ -375,7 +377,7 @@ class TestVerificationFailure:
 
     def test_exit_1_without_traceback(self, run, monkeypatch):
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, rest: {s: r - 1})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, idx, vals: ([s], [r - 1]))
         code, out, err = run("tensor", "--p", "5", "--alpha", "1", "2", "3")
         assert (code, out) == (1, "")
         assert err.startswith("error: dimension lost")
@@ -385,7 +387,7 @@ class TestVerificationFailure:
         script = (
             "from greenring import core_ring, digits\n"
             "core_ring._TENSOR_CACHE.clear()\n"
-            "core_ring._tensor_level = lambda p, pb, r, s, rest: {s: r - 1}\n"
+            "core_ring._tensor_level = lambda p, pb, r, s, idx, vals: ([s], [r - 1])\n"
             "try:\n"
             "    core_ring.tensor(core_ring.GroupSpec(5, 1), 2, 3)\n"
             "except digits.VerificationError:\n"

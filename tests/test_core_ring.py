@@ -1,10 +1,12 @@
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -290,10 +292,10 @@ class TestSharedMemoEntry:
     """tensor wraps the memo's read-only mapping; the checks still run."""
 
     def test_index_above_q_still_rejected(self, monkeypatch):
-        # {6: 1} for (2, 3) is positive and has dimension 6, so only the
+        # V_6 for (2, 3) is positive and has dimension 6, so only the
         # index check can catch it
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, rest: {6: 1})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, idx, vals: ([6], [1]))
         with pytest.raises(ValueError, match="index 6 exceeds q = 5"):
             tensor(GroupSpec(5, 1), 2, 3)
 
@@ -306,6 +308,119 @@ class TestSharedMemoEntry:
         first, second = tensor(G53, 7, 11), tensor(G53, 11, 7)
         assert first == second and hash(first) == hash(second)
         assert first.coeffs is second.coeffs
+
+
+class TestCompactEntry:
+    """A memo entry of more than _SMALL_TERMS terms is a read-only mapping
+    over two tuples; a smaller one stays a read-only proxy over a dict.
+    Both act as the oracle's dict of block multiplicities."""
+
+    G54 = GroupSpec(5, 4)
+    G57 = GroupSpec(5, 7)
+    # at p = 5 these pairs have exactly K = 32 and K + 1 = 33 terms
+    SMALL, LARGE = (62, 86), (86, 187)
+    BIG = (54168, 20447)  # 1,091 terms at (5,7)
+
+    def test_size_rule(self):
+        k = core_ring._SMALL_TERMS
+        small, large = (tensor(self.G54, *pair).coeffs for pair in (self.SMALL, self.LARGE))
+        assert (len(small), len(large)) == (k, k + 1)
+        assert type(small) is MappingProxyType
+        assert type(large) is core_ring._Terms
+
+    @pytest.mark.parametrize("pair", [SMALL, LARGE])
+    def test_equality_both_ways(self, pair):
+        entry = tensor(self.G54, *pair).coeffs
+        want = jordan_type(5, *pair).multiplicities()
+        keys, values = zip(*want.items())
+        reordered = core_ring._Terms(keys[::-1], values[::-1])
+        for other in (want, MappingProxyType(want), entry, reordered):
+            assert entry == other and other == entry
+            assert not (entry != other or other != entry)
+        top = max(want)
+        for wrong in ({**want, top: want[top] + 1}, {i: want[i] for i in keys[1:]}):
+            for other in (wrong, MappingProxyType(wrong), core_ring._Terms(*zip(*wrong.items()))):
+                assert entry != other and other != entry
+                assert not (entry == other or other == entry)
+        assert entry != list(want.items()) and entry != 0
+
+    @pytest.mark.parametrize("pair", [SMALL, LARGE])
+    def test_reads(self, pair):
+        entry = tensor(self.G54, *pair).coeffs
+        want = jordan_type(5, *pair).multiplicities()
+        assert len(entry) == len(want)
+        assert sorted(entry) == sorted(entry.keys()) == sorted(want)
+        assert sorted(entry.values()) == sorted(want.values())
+        assert list(zip(entry, entry.values())) == list(entry.items())
+        items = entry.items()
+        assert list(items) == list(items) and sorted(items) == sorted(want.items())
+        assert (max(want), want[max(want)]) in items
+        for i in range(self.G54.q + 2):
+            assert (i in entry) == (i in entry.keys()) == (i in want)
+            assert entry.get(i) == want.get(i)
+            assert entry.get(i, -1) == want.get(i, -1)
+            if i in want:
+                assert entry[i] == want[i]
+            else:
+                with pytest.raises(KeyError):
+                    entry[i]
+
+    @pytest.mark.parametrize("pair", [SMALL, LARGE])
+    def test_rejects_assignment(self, pair):
+        entry = tensor(self.G54, *pair).coeffs
+        before = dict(entry.items())
+        with pytest.raises(TypeError):
+            entry[1] = 5
+        with pytest.raises(TypeError):
+            entry[max(before)] = 5
+        with pytest.raises(TypeError):
+            del entry[max(before)]
+        assert entry == before
+
+    def test_text_json_and_hash_equal_a_rebuilt_element(self):
+        element = tensor(self.G57, *self.BIG)
+        assert type(element.coeffs) is core_ring._Terms and len(element.coeffs) >= 1000
+        rebuilt = RingElement(self.G57, dict(element.coeffs.items()))
+        assert type(rebuilt.coeffs) is MappingProxyType
+        assert str(element).encode() == str(rebuilt).encode()
+        assert json.dumps(element.to_json_dict()) == json.dumps(rebuilt.to_json_dict())
+        assert hash(element) == hash(rebuilt)
+        assert element == rebuilt and rebuilt == element
+        assert element + rebuilt == 2 * rebuilt and element - rebuilt == zero(self.G57)
+
+    def test_compact_form_is_under_half_a_dict(self):
+        entry = tensor(self.G57, *self.BIG).coeffs
+        assert len(entry) >= 1000
+        compact = sys.getsizeof(entry) + sys.getsizeof(entry._keys) + sys.getsizeof(entry._values)
+        assert compact < sys.getsizeof(dict(entry.items())) / 2
+
+
+class TestLevelLists:
+    """_grid builds a level as an index list and a multiplicity list, in
+    which a dict no longer merges a repeated index (the lists themselves
+    are checked in TestIndexTable's sweep)."""
+
+    def test_collision_term_left_in_the_copies_raises_under_optimize(self):
+        # with the cut of V_{p^beta} from the copies removed, its copies sit
+        # beside the slot sums that already count it: a repeated index that
+        # a dict would have merged adds positive dimension, and the
+        # dimension check raises.  V_3 (x) V_4 = V_2 + 2 V_5 at p = 5, so
+        # V_8 (x) V_9 reads the collision term V_5
+        script = (
+            "import inspect, textwrap\n"
+            "from greenring import core_ring, digits\n"
+            "source = inspect.getsource(core_ring._grid)\n"
+            "cut = '            idx, vals = idx[:-1], vals[:-1]\\n'\n"
+            "if source.count(cut) != 1:\n"
+            "    raise SystemExit('the cut is not in _grid')\n"
+            "exec(textwrap.dedent(source.replace(cut, '')), vars(core_ring))\n"
+            "try:\n"
+            "    core_ring.tensor(core_ring.GroupSpec(5, 2), 8, 9)\n"
+            "except digits.VerificationError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = _run_optimized(script)
+        assert out.startswith("dimension lost at (5, 8, 9)"), out
 
 
 class TestMul:
@@ -536,11 +651,13 @@ class TestMulChecks:
     _SCRIPT = (
         "from greenring import core_ring, digits\n"
         "grid = core_ring._grid\n"
-        "def patched(p, pb, r0, s0, w, wr1, ws1, boundary, rest):\n"
-        "    out = grid(p, pb, r0, s0, w, wr1, ws1, boundary, rest)\n"
+        "def patched(p, pb, r0, s0, w, wr1, ws1, boundary, idx, vals):\n"
+        "    idx, vals = grid(p, pb, r0, s0, w, wr1, ws1, boundary, idx, vals)\n"
         "    if w > 1:\n"
+        "        top = max(idx)\n"
+        "        k = idx.index(top)\n"
         "{edit}"
-        "    return out\n"
+        "    return idx, vals\n"
         "core_ring._grid = patched\n"
         "G = core_ring.GroupSpec(5, 2)\n"
         "a = core_ring.RingElement(G, {{16: 1, 17: 2, 18: 1}})\n"
@@ -552,16 +669,16 @@ class TestMulChecks:
     )
 
     def test_lost_term_raises_under_optimize(self):
-        edit = "        del out[max(out)]\n"
+        edit = "        del idx[k], vals[k]\n"
         out = _run_optimized(self._SCRIPT.format(edit=edit))
         assert out.startswith("dimension lost in a product"), out
 
     def test_negative_coefficient_raises_under_optimize(self):
         # moves the top term's dimension onto V_1, leaving -1 V_top
         edit = (
-            "        top = max(out)\n"
-            "        out[1] = out.get(1, 0) + top * (out[top] + 1)\n"
-            "        out[top] = -1\n"
+            "        idx.append(1)\n"
+            "        vals.append(top * (vals[k] + 1))\n"
+            "        vals[k] = -1\n"
         )
         out = _run_optimized(self._SCRIPT.format(edit=edit))
         assert out.startswith("negative multiplicity in a product"), out
@@ -721,11 +838,12 @@ class TestMemoRetention:
     _SCRIPT = (
         "from greenring import core_ring, digits\n"
         "level = core_ring._tensor_level\n"
-        "def patched(p, pb, r, s, rest):\n"
-        "    out = level(p, pb, r, s, rest)\n"
+        "def patched(p, pb, r, s, idx, vals):\n"
+        "    idx, vals = level(p, pb, r, s, idx, vals)\n"
         "    if (r, s) == (150, 200):\n"
-        "        del out[max(out)]\n"
-        "    return out\n"
+        "        k = idx.index(max(idx))\n"
+        "        del idx[k], vals[k]\n"
+        "    return idx, vals\n"
         "core_ring._tensor_level = patched\n"
         "try:\n"
         "    core_ring.tensor(core_ring.GroupSpec(5, 7), {r}, {s})\n"
@@ -736,11 +854,12 @@ class TestMemoRetention:
     def test_lost_dimension_on_a_dropped_entry_raises(self, monkeypatch):
         level = core_ring._tensor_level
 
-        def patched(p, pb, r, s, rest):
-            out = level(p, pb, r, s, rest)
+        def patched(p, pb, r, s, idx, vals):
+            idx, vals = level(p, pb, r, s, idx, vals)
             if (r, s) == (150, 200):
-                del out[max(out)]
-            return out
+                k = idx.index(max(idx))
+                del idx[k], vals[k]
+            return idx, vals
 
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
         monkeypatch.setattr(core_ring, "_tensor_level", patched)
@@ -798,7 +917,18 @@ class TestIndexTable:
 
     def test_no_nonpositive_index_is_read(self, monkeypatch):
         # every pair r <= s of the pinned sweep groups, and mul products of
-        # U-elements and of signed elements at (5,3)
+        # U-elements and of signed elements at (5,3); every level _grid
+        # writes holds each index once, and a term at the envelope
+        # p^(beta+1), the collision term of the level above, last
+        grid = core_ring._grid
+        levels = []
+
+        def recorded(p, pb, r0, s0, w, wr1, ws1, boundary, idx, vals):
+            out = grid(p, pb, r0, s0, w, wr1, ws1, boundary, idx, vals)
+            levels.append((p * pb, *out))
+            return out
+
+        monkeypatch.setattr(core_ring, "_grid", recorded)
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
         checked = _PositiveIndex(range(core_ring._INDEX_BOUND))
         monkeypatch.setattr(core_ring, "_INDEX", checked)
@@ -818,6 +948,10 @@ class TestIndexTable:
             )
             assert mul(a, b) == _pairwise(a, b)
         assert core_ring._INDEX is checked
+        assert len(levels) > 20000
+        for envelope, idx, vals in levels:
+            assert len(idx) == len(vals) == len(set(idx))
+            assert envelope not in idx[:-1]
 
     def test_concurrent_growth_keeps_every_slot(self, cleared):
         # four threads start together from an empty memo and table and ask

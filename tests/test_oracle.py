@@ -426,7 +426,9 @@ class TestVerifyEngine:
         monkeypatch.setattr(
             core_ring,
             "_tensor_level",
-            lambda p, pb, r, s, rest: {4: 2, 2: 2} if (r, s) == (3, 4) else real(p, pb, r, s, rest),
+            lambda p, pb, r, s, idx, vals: (
+                ([4, 2], [2, 2]) if (r, s) == (3, 4) else real(p, pb, r, s, idx, vals)
+            ),
         )
         got = {"p": 5, "alpha": 1, "coeffs": {"2": 2, "4": 2}}
         assert verify_engine(5, 1) == [{"r": 3, "s": 4, "expected": [5, 5, 2], "got": got}]
