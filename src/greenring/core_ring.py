@@ -32,9 +32,7 @@ the indices by list comprehensions, the multiplicities by list
 repetition.  The terms on multiples of p^beta sit in a slot list; the one
 remainder term that lands there, V_{p^beta}, is cut from the copies by
 its position, last, and counted in the slots (see ``_grid``, the one home
-of the rule).  Every index the reduction writes, in a copy, a slot or the
-carry, goes through one shared table of int objects, ``_INDEX``, where
-_INDEX[i] is the object for i.
+of the rule).  Indices are written as plain ints.
 
 The ring product ``mul`` runs the same reduction on whole elements rather
 than pair by pair.  The rule is linear in the remainders' product, so
@@ -52,22 +50,18 @@ All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict.  It keeps every pair a caller asks for
 (``tensor``, and the pair reads of ``mul``), each once, as a read-only
 mapping that ``tensor`` returns without copying.  An entry of more than
-``_SMALL_TERMS`` = 32 terms is a ``_Terms``, a mapping over two tuples
-(indices and multiplicities) at 16 bytes a term, where a dict takes
-about 40; a smaller entry stays a proxy over a dict, whose comparisons
-and iteration run at C speed.  An interior pair of a digit chain, a
-remainders' product that a level reads, is kept only up to the dimension
-bound ``_INTERIOR_KEEP_DIM``; a larger one is computed, used and
-dropped.  The per-call table of ``mul`` never enters the memo.
-Every computed entry, kept or not, is checked for positivity and
-dimension.  The memo's keys are the index table's objects, so the
-memo's terms share about as many int objects as there are distinct
-indices, not one per term.  The table grows to the p-power envelope of
-each digit chain and ``mul`` product, up to ``_INDEX_BOUND`` slots;
-indices above the bound stay plain ints.  CPython dict operations are
-atomic under the GIL, recomputing an entry is harmless, and the table is
-rebound whole when it grows, never extended in place, so no locking is
-used.
+``_SMALL_TERMS`` = 32 terms is a ``_Terms``, a mapping over two
+``array('i')`` (indices and multiplicities) at 8 bytes a term, where a
+dict takes about 34; above an envelope of 2^31 the two are tuples.  A
+smaller entry stays a proxy over a dict, whose comparisons and iteration
+run at C speed.  An interior pair of a digit chain, a remainders'
+product that a level reads, is kept only up to the dimension bound
+``_INTERIOR_KEEP_DIM``; a larger one is computed, used and dropped.  The
+per-call table of ``mul`` never enters the memo.  Every computed entry,
+kept or not, is checked for positivity and dimension, and every stored
+one for its top index, so a memo read needs no check.  CPython dict
+operations are atomic under the GIL and recomputing an entry is
+harmless, so no locking is used.
 
 The closed forms that cross-check the engine, chi_k . V_s by the column
 rule and chi_i^s by the binomial sum, live with the tests
@@ -80,6 +74,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+from array import array
 from collections.abc import ItemsView, Mapping, Sequence
 from types import MappingProxyType
 
@@ -260,13 +255,13 @@ def chi(group: GroupSpec, k: int) -> RingElement:
 # bounded by the p-power envelope of max(r, s).  Values are read-only
 # mappings, shared with every element ``tensor`` returns for the key
 # (``_memo_entry``): an entry of more than _SMALL_TERMS terms is a _Terms,
-# two tuples at 16 bytes a term against about 40 in a dict, and a smaller
-# one a MappingProxyType over a dict, which compares and iterates at C
-# speed.  After 20,000 cold queries at (5,7) the large entries hold 88% of
-# the memo's terms, while a verify sweep's entries have a median of 3
-# terms and 3 of its 4,546 have more than 32.  Every pair a caller asks for is stored; an interior pair of a
-# digit chain (the remainders' product a level reads) is stored only when
-# r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the larger interior
+# two int32 arrays at 8 bytes a term against about 34 in a dict, and a
+# smaller one a MappingProxyType over a dict, which compares and iterates
+# at C speed.  After 20,000 cold queries at (5,7) the large entries hold
+# 88% of the memo's terms, while a verify sweep's entries have a median
+# of 3 terms and 3 of its 4,546 have more than 32.  Every pair a caller
+# asks for is stored; an interior pair of a digit chain (the remainders'
+# product a level reads) is stored only when r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the larger interior
 # entries hold about half the memo's terms and are almost never read
 # again, so they are computed, checked, used and dropped.  A dimension
 # bound does not depend on p, and caps the interior part at the
@@ -277,15 +272,15 @@ _SMALL_TERMS = 32
 
 
 class _Terms(Mapping):
-    """A read-only mapping over two tuples, the indices and the
-    multiplicities of a memo entry in the order ``_grid`` wrote them.
-    Looking up one index scans the indices, so callers iterate it
-    (``items()``) rather than index it; ``values()`` is the tuple of
-    multiplicities."""
+    """A read-only mapping over two sequences, ``array('i')`` or tuples,
+    the indices and the multiplicities of a memo entry in the order
+    ``_grid`` wrote them.  Looking up one index scans the indices, so
+    callers iterate it (``items()``) rather than index it; ``values()`` is
+    the sequence of multiplicities."""
 
     __slots__ = ("_keys", "_values")
 
-    def __init__(self, keys: tuple[int, ...], values: tuple[int, ...]):
+    def __init__(self, keys: Sequence[int], values: Sequence[int]):
         self._keys = keys
         self._values = values
 
@@ -304,7 +299,7 @@ class _Terms(Mapping):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def values(self) -> tuple[int, ...]:
+    def values(self) -> Sequence[int]:
         return self._values
 
     def items(self) -> ItemsView:
@@ -331,48 +326,20 @@ class _TermsItems(ItemsView):
         return zip(self._mapping._keys, self._mapping._values)
 
 
-def _memo_entry(idx: list[int], vals: list[int]) -> Mapping[int, int]:
-    """The read-only memo entry for a level's index and multiplicity lists,
-    its terms in the same order."""
-    if len(idx) > _SMALL_TERMS:
+def _memo_entry(idx: list[int], vals: list[int], envelope: int) -> Mapping[int, int]:
+    """The read-only memo entry for a checked level's index and
+    multiplicity lists, its terms in the same order.  A large entry is two
+    int32 arrays when the level's envelope p^(beta+1) is below 2^31: its
+    indices are at most the envelope, and a multiplicity is at most
+    min(r, s), so both fit.  Above that envelope it is two tuples."""
+    if len(idx) <= _SMALL_TERMS:
+        return MappingProxyType(dict(zip(idx, vals)))
+    if envelope >= 2**31:
         return _Terms(tuple(idx), tuple(vals))
-    return MappingProxyType(dict(zip(idx, vals)))
-
-# Index table: _INDEX[i] is the one int object for the value i, and
-# ``_grid`` writes every index it builds through it, so the memo's millions
-# of keys share their objects instead of each holding a new int.  It starts
-# empty and grows to the p-power envelope p^(beta+1) of each digit chain and
-# each ``mul`` product, once per chain or product (``_grow_index``), up to
-# _INDEX_BOUND slots: 2^17 covers the 78,125 indices of (5,7) and holds at
-# most about 4.7 MB.  A level whose envelope the table does not cover writes
-# plain ints through _PLAIN instead.
-_INDEX: list[int] = []
-_INDEX_BOUND = 2**17
-
-
-class _PlainIndex:
-    """Stands in for the index table above its bound: index[i] is i."""
-
-    __slots__ = ()
-
-    def __getitem__(self, i: int) -> int:
-        return i
-
-
-_PLAIN = _PlainIndex()
-
-
-def _grow_index(top: int) -> None:
-    """Grow the index table to cover 0..top, if top is below its bound.
-    The longer list keeps the old objects and is bound in one step, so a
-    slot i holds i in every list ever bound, whatever threads grow it at
-    once.  A racing grower may bind a shorter list than another thread
-    needs; ``_grid`` compares each level's envelope with the list it
-    reads, so such a level writes plain ints."""
-    global _INDEX
-    index = _INDEX
-    if len(index) <= top < _INDEX_BOUND:
-        _INDEX = index + list(range(len(index), top + 1))
+    try:
+        return _Terms(array("i", idx), array("i", vals))
+    except OverflowError:
+        raise VerificationError("multiplicity above min(r, s)") from None
 
 
 def _leading_level(p: int, n: int) -> tuple[int, int]:
@@ -449,15 +416,10 @@ def _grid(
     slot sums.  The nonzero slots, in ascending order, and the carry are
     appended after the copies, so every index is written once, and a term
     at the envelope p^(beta+1), the collision term of the level above, is
-    written last.  Every index written is positive and at most the
-    envelope, and is written as the index table's object when the table
-    covers the envelope (the caller grows it once per chain or product,
-    ``_grow_index``), otherwise as a plain int."""
+    written last.  Every index written is a plain int, positive and at
+    most the envelope."""
     carry, d1, _ = _digit_case(p, r0, s0)
     shift = (s0 - r0) * pb
-    index = _INDEX
-    if pb * p >= len(index):
-        index = _PLAIN
     slots = [2 * boundary - wr1 + ws1, pb * w - wr1 - ws1] * (d1 + 1)
     slots[0] = boundary if shift else 0
     if not carry:
@@ -472,18 +434,18 @@ def _grid(
             slots[-1] += top
             idx, vals = idx[:-1], vals[:-1]
         steps = range(shift + 2 * pb, shift + (2 * d1 + 1) * pb, 2 * pb)
-        out = [index[base + b] for base in (shift, *steps) for b in idx]
+        out = [base + b for base in (shift, *steps) for b in idx]
         if steps:
-            out += [index[base - b] for base in steps for b in idx]
+            out += [base - b for base in steps for b in idx]
         mult = list(vals) * (1 + 2 * len(steps))
     for k, c in enumerate(slots):
         if c:
-            out.append(index[shift + k * pb])
+            out.append(shift + k * pb)
             mult.append(c)
     if carry:
         c1 = (r0 + s0 - p) * pb * w + wr1 + ws1
         if c1:
-            out.append(index[pb * p])
+            out.append(pb * p)
             mult.append(c1)
     return out, mult
 
@@ -513,14 +475,15 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
     every index once, so a repeated index would add positive dimension and
     fail the second.  The requested entry is stored as a shared read-only
     mapping (``_memo_entry``); an interior one only when
-    r s <= _INTERIOR_KEEP_DIM."""
+    r s <= _INTERIOR_KEEP_DIM.  A third plain if runs once on every level
+    that is stored: its top index must be at most P(s), the least power of
+    p that is at least s (p^beta when s = p^beta, else p^(beta+1))."""
     if r > s:
         r, s = s, r
     entry = _TENSOR_CACHE.get((p, r, s))
     if entry is not None:
         return entry
     _, pb = _leading_level(p, s)
-    _grow_index(pb * p)
     chain = []
     rest: tuple[Sequence[int], Sequence[int]] = ((), ())
     while True:
@@ -549,22 +512,24 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
         if sum(map(operator.mul, idx, vals)) != r * s:
             raise VerificationError(f"dimension lost at {key}")
         if level is top or r * s <= _INTERIOR_KEEP_DIM:
-            entry = _TENSOR_CACHE[key] = _memo_entry(idx, vals)
+            bound = pb if s == pb else pb * p
+            if max(idx) > bound:
+                raise VerificationError(f"index {max(idx)} exceeds {bound} at {key}")
+            entry = _TENSOR_CACHE[key] = _memo_entry(idx, vals, pb * p)
         rest = idx, vals
     return entry
 
 
 def tensor(group: GroupSpec, r: int, s: int) -> RingElement:
     """Exact decomposition of V_r (x) V_s into indecomposables.  The
-    result wraps the memo's read-only mapping without copying it."""
+    result wraps the memo's read-only mapping without copying or reading
+    it: every stored entry has its indices at most P(s), the least power
+    of p that is at least s (``_tensor_coeffs``), and s <= q gives
+    P(s) <= q."""
     for idx in (r, s):
         if not 1 <= idx <= group.q:
             raise ValueError(f"index {idx} outside 1..{group.q}")
-    coeffs = _tensor_coeffs(group.p, r, s)
-    top = max(coeffs)
-    if top > group.q:
-        raise ValueError(f"index {top} exceeds q = {group.q}")
-    return RingElement._wrap(group, coeffs)
+    return RingElement._wrap(group, _tensor_coeffs(group.p, r, s))
 
 
 def _by_digit(terms: tuple, pb: int) -> dict[int, tuple]:
@@ -626,7 +591,6 @@ def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
     limit; each sub-product has indices below the p^beta of the product
     that needs it, which bounds its level."""
     _, pb = _leading_level(p, max(a[-1][0], b[-1][0]))
-    _grow_index(pb * p)
     stack = [((a, b), pb)]
     table: dict[tuple, dict[int, int]] = {}
     pending: dict[tuple, tuple] = {}

@@ -383,23 +383,43 @@ class TestVerificationFailure:
         assert err.startswith("error: dimension lost")
         assert "Traceback" not in err
 
-    def test_raises_under_optimize(self):
-        script = (
-            "from greenring import core_ring, digits\n"
-            "core_ring._TENSOR_CACHE.clear()\n"
-            "core_ring._tensor_level = lambda p, pb, r, s, idx, vals: ([s], [r - 1])\n"
-            "try:\n"
-            "    core_ring.tensor(core_ring.GroupSpec(5, 1), 2, 3)\n"
-            "except digits.VerificationError:\n"
-            "    print('raised')\n"
-        )
+    _SCRIPT = (
+        "from greenring import core_ring, digits\n"
+        "core_ring._TENSOR_CACHE.clear()\n"
+        "core_ring._tensor_level = lambda p, pb, r, s, idx, vals: {level}\n"
+        "try:\n"
+        "    core_ring.tensor(core_ring.GroupSpec(5, 1), 2, 3)\n"
+        "except digits.VerificationError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    @staticmethod
+    def _run_optimized(level):
+        """stdout of V_2 (x) V_3 at p = 5 with the level patched to return
+        level, in a child interpreter under python -O."""
         src = str(Path(greenring.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
+            [sys.executable, "-O", "-c", TestVerificationFailure._SCRIPT.format(level=level)],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert (done.returncode, done.stdout) == (0, "raised\n"), done.stderr
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_raises_under_optimize(self):
+        out = self._run_optimized("([s], [r - 1])")
+        assert out.startswith("dimension lost at (5, 2, 3)"), out
+
+    def test_index_fault_is_exit_1_also_under_optimize(self, run, monkeypatch):
+        # V_6 is positive and has dimension 2 * 3, but P(3) = 5 at p = 5
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, idx, vals: ([6], [1]))
+        code, out, err = run("tensor", "--p", "5", "--alpha", "1", "2", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: index 6 exceeds 5 at (5, 2, 3)")
+        assert "Traceback" not in err
+        out = self._run_optimized("([6], [1])")
+        assert out.startswith("index 6 exceeds 5 at (5, 2, 3)"), out
 
 
 # Index sets of these inputs would outgrow memory: |J| of the alternating

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from array import array
 from pathlib import Path
 from types import MappingProxyType
 
@@ -293,11 +294,24 @@ class TestSharedMemoEntry:
 
     def test_index_above_q_still_rejected(self, monkeypatch):
         # V_6 for (2, 3) is positive and has dimension 6, so only the
-        # index check can catch it
+        # bound check on the stored entry, P(3) = 5 at p = 5, can catch it
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
         monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, idx, vals: ([6], [1]))
-        with pytest.raises(ValueError, match="index 6 exceeds q = 5"):
+        with pytest.raises(VerificationError, match=r"index 6 exceeds 5 at \(5, 2, 3\)"):
             tensor(GroupSpec(5, 1), 2, 3)
+        assert core_ring._TENSOR_CACHE == {}
+
+    def test_multiplicity_beyond_int32_raises(self, monkeypatch):
+        # a one-level chain: 34 terms of total dimension r s = 2^32, positive
+        # and at most P(s) = 2^16, with over 2^31 copies of V_1; only the
+        # int32 storage of a large entry can catch it
+        r = s = 2**16
+        idx = list(range(2, 35)) + [1]
+        vals = [1] * 33 + [r * s - sum(idx[:-1])]
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, i, v: (idx, vals))
+        with pytest.raises(VerificationError, match="multiplicity above min"):
+            tensor(GroupSpec(2, 30), r, s)
 
     def test_coeffs_reject_assignment(self):
         product = tensor(G53, 7, 11)
@@ -312,14 +326,17 @@ class TestSharedMemoEntry:
 
 class TestCompactEntry:
     """A memo entry of more than _SMALL_TERMS terms is a read-only mapping
-    over two tuples; a smaller one stays a read-only proxy over a dict.
-    Both act as the oracle's dict of block multiplicities."""
+    over two int32 arrays, or two tuples above an envelope of 2^31; a
+    smaller one stays a read-only proxy over a dict.  All act as the
+    oracle's dict of block multiplicities."""
 
     G54 = GroupSpec(5, 4)
     G57 = GroupSpec(5, 7)
+    G325 = GroupSpec(3, 25)
     # at p = 5 these pairs have exactly K = 32 and K + 1 = 33 terms
     SMALL, LARGE = (62, 86), (86, 187)
     BIG = (54168, 20447)  # 1,091 terms at (5,7)
+    HUGE = (676461728396, 529453331036)  # 95 terms at (3,25), all above 2^31
 
     def test_size_rule(self):
         k = core_ring._SMALL_TERMS
@@ -377,22 +394,44 @@ class TestCompactEntry:
             del entry[max(before)]
         assert entry == before
 
+    def test_storage_form_follows_the_envelope(self):
+        big = tensor(self.G57, *self.BIG).coeffs
+        assert len(big) == 1091
+        assert type(big._keys) is type(big._values) is array
+        assert big._keys.typecode == big._values.typecode == "i"
+        huge = tensor(self.G325, *self.HUGE).coeffs
+        assert len(huge) == 95 and min(huge) > 2**31
+        assert type(huge._keys) is type(huge._values) is tuple
+
     def test_text_json_and_hash_equal_a_rebuilt_element(self):
-        element = tensor(self.G57, *self.BIG)
-        assert type(element.coeffs) is core_ring._Terms and len(element.coeffs) >= 1000
-        rebuilt = RingElement(self.G57, dict(element.coeffs.items()))
-        assert type(rebuilt.coeffs) is MappingProxyType
-        assert str(element).encode() == str(rebuilt).encode()
-        assert json.dumps(element.to_json_dict()) == json.dumps(rebuilt.to_json_dict())
-        assert hash(element) == hash(rebuilt)
-        assert element == rebuilt and rebuilt == element
-        assert element + rebuilt == 2 * rebuilt and element - rebuilt == zero(self.G57)
+        # the int32 arrays at (5,7) and the tuples at (3,25)
+        for group, pair in ((self.G57, self.BIG), (self.G325, self.HUGE)):
+            element = tensor(group, *pair)
+            assert type(element.coeffs) is core_ring._Terms and len(element.coeffs) > 32
+            rebuilt = RingElement(group, dict(element.coeffs.items()))
+            assert type(rebuilt.coeffs) is MappingProxyType
+            assert str(element).encode() == str(rebuilt).encode()
+            assert json.dumps(element.to_json_dict()) == json.dumps(rebuilt.to_json_dict())
+            assert hash(element) == hash(rebuilt)
+            assert element == rebuilt and rebuilt == element
+            assert element + rebuilt == 2 * rebuilt and element - rebuilt == zero(group)
+
+    def test_warm_read_does_not_iterate_the_entry(self, monkeypatch):
+        cold = tensor(self.G57, *self.BIG)
+
+        def refuse(self):
+            raise AssertionError("a warm read iterated the entry")
+
+        monkeypatch.setattr(core_ring._Terms, "__iter__", refuse)
+        warm = tensor(self.G57, *self.BIG[::-1])
+        assert warm.coeffs is cold.coeffs and warm.group == self.G57
 
     def test_compact_form_is_under_half_a_dict(self):
+        # 8.2 bytes a term against 33.9 for a dict of the same terms
         entry = tensor(self.G57, *self.BIG).coeffs
         assert len(entry) >= 1000
         compact = sys.getsizeof(entry) + sys.getsizeof(entry._keys) + sys.getsizeof(entry._values)
-        assert compact < sys.getsizeof(dict(entry.items())) / 2
+        assert compact < sys.getsizeof(dict(entry.items())) / 4
 
 
 class TestLevelLists:
@@ -871,55 +910,43 @@ class TestMemoRetention:
         assert out.startswith("dimension lost at (5, 150, 200)"), out
 
 
-class _PositiveIndex(list):
-    """An index table that refuses a nonpositive index, which a plain list
-    would read silently from its end."""
-
-    def __getitem__(self, i):
-        assert i > 0, f"nonpositive index {i} read through the table"
-        return super().__getitem__(i)
-
-
 class TestIndexTable:
-    """_grid writes every index through one table of shared int objects,
-    grown once per digit chain and per mul product up to _INDEX_BOUND."""
+    """Indices as _grid writes them, plain ints, and as the memo holds
+    them: each stored entry's indices run from 1 to P(s), the least power
+    of p that is at least s."""
 
     G57 = GroupSpec(5, 7)
 
     @pytest.fixture
     def cleared(self, monkeypatch):
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        monkeypatch.setattr(core_ring, "_INDEX", [])
 
     def test_memo_keys_are_the_table_objects(self, cleared):
+        # every entry of the memo, requested and interior, after 300 cold
+        # queries at (5,7)
         rng = random.Random(1)
         for _ in range(300):
             tensor(self.G57, rng.randint(1, self.G57.q), rng.randint(1, self.G57.q))
-        index = core_ring._INDEX
-        assert len(index) == self.G57.q + 1
         memo = core_ring._TENSOR_CACHE
-        assert all(key is index[key] for entry in memo.values() for key in entry)
+        assert len(memo) > 300
+        for (p, r, s), entry in memo.items():
+            _, pb = core_ring._leading_level(p, s)
+            bound = pb if s == pb else pb * p
+            assert all(type(i) is int and 1 <= i <= bound for i in entry), (r, s)
+            if len(entry) > core_ring._SMALL_TERMS:
+                assert entry._keys.typecode == entry._values.typecode == "i"
 
     def test_table_stays_within_its_bound(self, cleared):
-        # the 4,095-level chain's envelope 2^4095 is above the bound, so it
-        # answers in plain ints and leaves the table as it was
+        # the 4,095-level chain, whose envelope 2^4095 is far above int32
         product = tensor(GroupSpec(2, 4096), 3, 2**4095 - 1)
         assert product.dim() == 3 * (2**4095 - 1) and min(product.coeffs.values()) > 0
-        assert core_ring._INDEX == []
-        bound = core_ring._INDEX_BOUND
-        assert self.G57.q < bound <= 2**17
-        core_ring._grow_index(bound)
-        assert core_ring._INDEX == []
-        core_ring._grow_index(bound - 1)
-        core_ring._grow_index(bound)
-        core_ring._grow_index(2**4095)
-        assert len(core_ring._INDEX) == bound
+        assert max(product.coeffs) <= 2**4095
 
     def test_no_nonpositive_index_is_read(self, monkeypatch):
         # every pair r <= s of the pinned sweep groups, and mul products of
         # U-elements and of signed elements at (5,3); every level _grid
-        # writes holds each index once, and a term at the envelope
-        # p^(beta+1), the collision term of the level above, last
+        # writes holds only positive indices, each once, and a term at the
+        # envelope p^(beta+1), the collision term of the level above, last
         grid = core_ring._grid
         levels = []
 
@@ -930,8 +957,6 @@ class TestIndexTable:
 
         monkeypatch.setattr(core_ring, "_grid", recorded)
         monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
-        checked = _PositiveIndex(range(core_ring._INDEX_BOUND))
-        monkeypatch.setattr(core_ring, "_INDEX", checked)
         for p, alpha in ((3, 4), (7, 2), (5, 3), (2, 7)):
             group = GroupSpec(p, alpha)
             for s in range(1, group.q + 1):
@@ -947,16 +972,16 @@ class TestIndexTable:
                 for _ in range(2)
             )
             assert mul(a, b) == _pairwise(a, b)
-        assert core_ring._INDEX is checked
         assert len(levels) > 20000
         for envelope, idx, vals in levels:
             assert len(idx) == len(vals) == len(set(idx))
+            assert min(idx, default=1) > 0
             assert envelope not in idx[:-1]
 
     def test_concurrent_growth_keeps_every_slot(self, cleared):
-        # four threads start together from an empty memo and table and ask
-        # for overlapping pairs whose envelopes rise level by level, so the
-        # table grows while other threads read and grow it
+        # four threads start together from an empty memo and ask for
+        # overlapping pairs whose envelopes rise level by level, so each
+        # reads entries that others are still storing
         pairs = [
             (group, r, p**k + r)
             for group, p in ((self.G57, 5), (GroupSpec(2, 16), 2))
@@ -970,7 +995,6 @@ class TestIndexTable:
         try:
             for _ in range(20):
                 core_ring._TENSOR_CACHE = {}
-                core_ring._INDEX = []
                 barrier = threading.Barrier(4)
                 results = [None] * 4
 
@@ -987,17 +1011,16 @@ class TestIndexTable:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert results == [want] * 4
-                index = core_ring._INDEX
-                assert index == list(range(len(index)))
         finally:
             sys.setswitchinterval(switch)
 
     def test_import_and_trick_leave_the_table_empty(self):
+        # the tensor memo, after import and after a digit trick
         script = (
             "from greenring import cli, core_ring\n"
-            "print(len(core_ring._INDEX))\n"
+            "print(len(core_ring._TENSOR_CACHE))\n"
             "cli.main(['trick', '62', '--base', '5'])\n"
-            "print(len(core_ring._INDEX))\n"
+            "print(len(core_ring._TENSOR_CACHE))\n"
         )
         src = str(Path(greenring.__file__).resolve().parents[1])
         done = subprocess.run(
