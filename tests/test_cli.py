@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import resource
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import greenring
-from greenring import cli, core_ring, ideals
+from greenring import cli, core_ring, ideals, quantum
 from greenring.cli import main
 
 
@@ -544,3 +545,95 @@ class TestParserReuse:
         got = [run_in_process(argv) for argv in commands]
         assert got == _fresh_children(commands)
         assert all(code == 0 and out.startswith(b"usage: greenring") for code, out, _ in got)
+
+
+def _wrong_pair_at_3_4(monkeypatch):
+    """An engine wrong at (3, 4) only, as in ``test_verify_reports_a_wrong_pair``."""
+    real = core_ring._tensor_level
+    monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+    monkeypatch.setattr(
+        core_ring,
+        "_tensor_level",
+        lambda p, pb, r, s, idx, vals: (
+            ([4, 2], [2, 2]) if (r, s) == (3, 4) else real(p, pb, r, s, idx, vals)
+        ),
+    )
+
+
+def _f1_nonzero(monkeypatch):
+    """Relations whose F1 comes out V1, so they fail."""
+    monkeypatch.setattr(
+        quantum,
+        "relations",
+        lambda group: [
+            core_ring.zero(group), core_ring.basis_element(group, 1), core_ring.zero(group)
+        ],
+    )
+
+
+# (argv, patch, exit code, sha256 of stdout) for every subcommand in every
+# format, taken from the per-subcommand output code.  The CLI promises
+# byte-identical output, so a changed digest is a failure, not a new baseline.
+PINNED_OUTPUTS = [
+    (("tensor", "--p", "5", "--alpha", "3", "2", "11"), None, 0,
+     "bf175252ab9a6ad2e38f716cc381cdfb8baf30b713fadb4b55106a7e6eed2bdf"),
+    (("tensor", "--p", "5", "--alpha", "3", "7", "11", "--format", "json"), None, 0,
+     "a2dedd074ee447db6b5130b4f29974096bc94a2108e28dcd69414cd5598e9200"),
+    (("ubasis", "--p", "5", "--alpha", "3", "12"), None, 0,
+     "4d5b048772206f04c56d5a12e561fc68fb8a053b6184b440605fcd37e014f5ea"),
+    (("ubasis", "--p", "5", "--alpha", "3", "12", "--format", "json"), None, 0,
+     "066bf933c53a977de03b67963a599605212c22e13d623108f7564ee5a18573f6"),
+    (("cousins", "63", "--base", "5"), None, 0,
+     "29d78c12b202e2ad7c44aaed0a958cd1e958710961f5d5f0a7fb1dc3fda23f2a"),
+    (("cousins", "63", "--base", "5", "--format", "json"), None, 0,
+     "4bc8a7bfd742dbb7fe74c9f96f776e3994e3d21346373d90bb38567528c3118d"),
+    (("matrix", "--p", "3", "--alpha", "2", "--format", "text"), None, 0,
+     "8f561a9aca9f0a559c2aa37cdd493db5d8c1020d8d36b8151d152dd4a95ab094"),
+    (("matrix", "--p", "3", "--alpha", "2", "--direction", "u-to-v"), None, 0,
+     "bad2ff61bf9397b4df55c44518c4d0fecb4861235d13265963b1f06080430c5c"),
+    (("matrix", "--p", "3", "--alpha", "2", "--format", "pbm"), None, 0,
+     "d93eac9a15f08a35c1ae14371515fe7228355b14d1e612f6675f9de37696c448"),
+    (("trick", "62", "--base", "5"), None, 0,
+     "d82de4687cbba8aae11b6560b34b65dfef7634021e595fb63141d9030dde8416"),
+    (("trick", "62", "--base", "5", "--format", "json"), None, 0,
+     "ad5b3a2d25e880c48ec3a2ca4fba77d3591bc646c4da5a3b51343250569da6a1"),
+    (("rank", "12", "--p", "2"), None, 0,
+     "732c9653d021cf180a62bad0ddf1594720d676079ceeafc80b8b920e2c4932cb"),
+    (("rank", "12", "--p", "2", "--format", "json"), None, 0,
+     "3e9c7793d378051a41812fd4b58022dcef64bc6f27a7f663cad8aa6f8d7b2176"),
+    (("verify", "--p", "3", "--alpha", "2"), None, 0,
+     "72ff0a36e424e0022fc90ed9bb06c22cc42d80cf39b7f8ae5b7a6a69f8171012"),
+    (("verify", "--p", "3", "--alpha", "2", "--format", "json"), None, 0,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    (("verify", "--p", "5", "--alpha", "1"), _wrong_pair_at_3_4, 1,
+     "3637a6c8ff1a2421578d77b0aae18eb2902a11f502ff2e22c3029d93684b4717"),
+    (("verify", "--p", "5", "--alpha", "1", "--format", "json"), _wrong_pair_at_3_4, 1,
+     "9b67e419c9afd24f6142311a3ba663d9f04df4ab57b53df507d1eca68c6ab0fa"),
+    (("relations", "--p", "3", "--alpha", "3"), None, 0,
+     "d3aee318fb3c34b7300b3f45b63f529acb3c5998db96147f78637041fe9dac74"),
+    (("relations", "--p", "3", "--alpha", "3", "--format", "json"), None, 0,
+     "0459055a60fa7e2aeeeac76f55ad51439d2c1939d15651ab5994ee29eb4a9fbd"),
+    (("relations", "--p", "3", "--alpha", "3"), _f1_nonzero, 1,
+     "5a979ab236275f853d74ee92db0f5d77e01a3bffd6a4763d3bad93740210cf31"),
+    (("relations", "--p", "3", "--alpha", "3", "--format", "json"), _f1_nonzero, 1,
+     "9e54a03ad99e3010c3b4e55f8ea4702d44d9e22111fc0338e07232070a8fe4eb"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,patch,code,digest",
+    PINNED_OUTPUTS,
+    ids=[
+        " ".join(argv) + (f" [{patch.__name__}]" if patch else "")
+        for argv, patch, _, _ in PINNED_OUTPUTS
+    ],
+)
+def test_pinned_output(run_in_process, monkeypatch, tmp_path, argv, patch, code, digest):
+    """Exit code and stdout digest are pinned; --out writes the same bytes."""
+    if patch:
+        patch(monkeypatch)
+    got_code, out, err = run_in_process(argv)
+    assert (got_code, hashlib.sha256(out).hexdigest(), err) == (code, digest, b"")
+    target = tmp_path / "out"
+    assert run_in_process((*argv, "--out", str(target))) == (code, b"", b"")
+    assert target.read_bytes() == out
