@@ -3,8 +3,11 @@
 Subcommands: tensor, ubasis, cousins, matrix, trick, rank, verify,
 relations.  Text output is pipe-friendly ASCII ('V12 - V8 + V2'); json is
 the canonical machine format and is byte-deterministic for fixed inputs.
-Results render themselves where they can: a ring element by ``str`` and
-``to_json_dict``, a digit certificate by ``to_text`` and ``to_json_dict``.
+Each ``cmd_*`` handler returns what it computed: ``matrix`` its rendered
+bytes, every other subcommand a ``Result`` that builds its JSON object or
+its text line on call, with its exit code.  ``_run`` is the one output
+path: it builds only the form --format asks for, writes the bytes to
+stdout or --out, and returns the exit code.
 Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory,
 recursion too deep (a guard: the engine walks digit chains in a loop) or an
 I/O error such as an unwritable --out path.
@@ -21,111 +24,97 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import core_ring, digits, ideals, oracle, quantum, ubasis
 
-_JSON_SEP = (",", ":")
 
+class Result(NamedTuple):
+    """A subcommand's result: its JSON object and its text line, each
+    built on call, and its exit code."""
 
-def _emit(payload: bytes | str, out: str | None) -> None:
-    data = payload.encode() if isinstance(payload, str) else payload
-    if out:
-        with open(out, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=_JSON_SEP) + "\n"
+    to_json: Callable[[], object]
+    to_text: Callable[[], str]
+    code: int = 0
 
 
 def _group(args) -> core_ring.GroupSpec:
     return core_ring.GroupSpec(args.p, args.alpha)
 
 
-def _emit_element(element: core_ring.RingElement, args) -> int:
-    if args.format == "json":
-        _emit(_dump(element.to_json_dict()), args.out)
-    else:
-        _emit(str(element) + "\n", args.out)
-    return 0
+def _element(element: core_ring.RingElement) -> Result:
+    return Result(element.to_json_dict, element.__str__)
 
 
-def cmd_tensor(args) -> int:
-    return _emit_element(core_ring.tensor(_group(args), args.r, args.s), args)
+def cmd_tensor(args) -> Result:
+    return _element(core_ring.tensor(_group(args), args.r, args.s))
 
 
-def cmd_ubasis(args) -> int:
-    return _emit_element(ubasis.u_element(_group(args), args.r), args)
+def cmd_ubasis(args) -> Result:
+    return _element(ubasis.u_element(_group(args), args.r))
 
 
-def cmd_cousins(args) -> int:
+def cmd_cousins(args) -> Result:
     values = sorted(ubasis.cousins(args.n, args.base))
-    if args.format == "json":
-        _emit(_dump({"n": args.n, "base": args.base, "cousins": values}), args.out)
-    else:
-        _emit(" ".join(str(v) for v in values) + "\n", args.out)
-    return 0
+    return Result(
+        lambda: {"n": args.n, "base": args.base, "cousins": values},
+        lambda: " ".join(str(v) for v in values),
+    )
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> bytes:
     matrix = ubasis.change_of_basis(_group(args), args.direction)
-    _emit(ubasis.render_matrix(matrix, args.format), args.out)
-    return 0
+    return ubasis.render_matrix(matrix, args.format)
 
 
-def cmd_trick(args) -> int:
+def cmd_trick(args) -> Result:
     cert = digits.trick_certificate(args.n, args.base)
-    if args.format == "json":
-        _emit(_dump(cert.to_json_dict()), args.out)
-    else:
-        _emit(cert.to_text() + "\n", args.out)
-    return 0
+    return Result(cert.to_json_dict, cert.to_text)
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> Result:
     report = ideals.rank_report(ideals.CyclicGroupSpec(args.n, args.p))
-    if args.format == "json":
-        _emit(_dump(report), args.out)
-    else:
-        _emit(
-            f"quotient_rank {report['quotient_rank']}, phi {report['phi_n']}\n",
-            args.out,
-        )
-    return 0
+    return Result(
+        lambda: report,
+        lambda: f"quotient_rank {report['quotient_rank']}, phi {report['phi_n']}",
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     mismatches = oracle.verify_engine(args.p, args.alpha, budget=args.budget)
-    if args.format == "json":
-        _emit(_dump(mismatches), args.out)
-    else:
-        _emit(f"{len(mismatches)} mismatches\n", args.out)
-    return 1 if mismatches else 0
+    return Result(
+        lambda: mismatches, lambda: f"{len(mismatches)} mismatches", 1 if mismatches else 0
+    )
 
 
-def cmd_relations(args) -> int:
-    group = _group(args)
-    vanishes = {
-        f"F{j}": value.is_zero() for j, value in enumerate(quantum.relations(group))
-    }
-    ok = all(vanishes.values())
-    if args.format == "json":
-        payload = {
-            "p": args.p,
-            "alpha": args.alpha,
-            "vanishes": vanishes,
-            "all_vanish": ok,
-        }
-        _emit(_dump(payload), args.out)
-    elif ok:
-        _emit(" ".join(vanishes) + " all vanish\n", args.out)
+def cmd_relations(args) -> Result:
+    values = quantum.relations(_group(args))
+    vanishes = {f"F{j}": value.is_zero() for j, value in enumerate(values)}
+    failed = [name for name, good in vanishes.items() if not good]
+    return Result(
+        lambda: {"p": args.p, "alpha": args.alpha, "vanishes": vanishes, "all_vanish": not failed},
+        lambda: "nonzero: " + " ".join(failed) if failed else " ".join(vanishes) + " all vanish",
+        1 if failed else 0,
+    )
+
+
+def _run(args) -> int:
+    """Run the subcommand, write its output to --out or stdout, and return
+    its exit code.  A ``Result`` is rendered in --format only: compact
+    JSON or its text line, each ending in a newline."""
+    result = args.func(args)
+    data, code = result, 0
+    if not isinstance(result, bytes):
+        as_json = args.format == "json"
+        text = json.dumps(result.to_json(), separators=(",", ":")) if as_json else result.to_text()
+        data, code = (text + "\n").encode(), result.code
+    if args.out:
+        with open(args.out, "wb") as handle:
+            handle.write(data)
     else:
-        failed = [name for name, good in vanishes.items() if not good]
-        _emit("nonzero: " + " ".join(failed) + "\n", args.out)
-    return 0 if ok else 1
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    return code
 
 
 @functools.cache
@@ -137,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, group=False, base=False, fmt=("text", "json"), default_fmt="text"):
+    def common(sp, func, *, group=False, base=False, fmt=("text", "json"), default_fmt="text"):
         if group:
             sp.add_argument("--p", type=int, required=True, help="prime characteristic")
             sp.add_argument("--alpha", type=int, required=True, help="exponent of p")
@@ -145,22 +134,20 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--base", type=int, default=10, help="digit base (default 10)")
         sp.add_argument("--format", choices=fmt, default=default_fmt)
         sp.add_argument("--out", help="write output to this file instead of stdout")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("tensor", help="decompose V_r (x) V_s")
     sp.add_argument("r", type=int)
     sp.add_argument("s", type=int)
-    common(sp, group=True)
-    sp.set_defaults(func=cmd_tensor)
+    common(sp, cmd_tensor, group=True)
 
     sp = sub.add_parser("ubasis", help="expand U_r in the V-basis")
     sp.add_argument("r", type=int)
-    common(sp, group=True)
-    sp.set_defaults(func=cmd_ubasis)
+    common(sp, cmd_ubasis, group=True)
 
     sp = sub.add_parser("cousins", help="sign flips of the non-leading digits")
     sp.add_argument("n", type=int)
-    common(sp, base=True)
-    sp.set_defaults(func=cmd_cousins)
+    common(sp, cmd_cousins, base=True)
 
     sp = sub.add_parser("matrix", help="change-of-basis matrix")
     sp.add_argument(
@@ -168,28 +155,23 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["v-to-u", "u-to-v"],
         default="v-to-u",
     )
-    common(sp, group=True, fmt=("text", "csv", "pbm"), default_fmt="csv")
-    sp.set_defaults(func=cmd_matrix)
+    common(sp, cmd_matrix, group=True, fmt=("text", "csv", "pbm"), default_fmt="csv")
 
     sp = sub.add_parser("trick", help="pick-a-number digit certificate")
     sp.add_argument("n", type=int)
-    common(sp, base=True)
-    sp.set_defaults(func=cmd_trick)
+    common(sp, cmd_trick, base=True)
 
     sp = sub.add_parser("rank", help="rank of the non-induced quotient vs phi(n)")
     sp.add_argument("n", type=int)
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
-    common(sp)
-    sp.set_defaults(func=cmd_rank)
+    common(sp, cmd_rank)
 
     sp = sub.add_parser("verify", help="engine vs oracle sweep")
     sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    common(sp, group=True)
-    sp.set_defaults(func=cmd_verify)
+    common(sp, cmd_verify, group=True)
 
     sp = sub.add_parser("relations", help="check that the presentation relations vanish")
-    common(sp, group=True)
-    sp.set_defaults(func=cmd_relations)
+    common(sp, cmd_relations, group=True)
 
     return parser
 
@@ -198,17 +180,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except digits.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except (OSError, RecursionError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

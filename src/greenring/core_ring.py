@@ -350,14 +350,6 @@ def _leading_level(p: int, n: int) -> tuple[int, int]:
     return beta, pb
 
 
-def _digit_case(p: int, r0: int, s0: int) -> tuple[bool, int, int]:
-    """(carry, d1, d2) for leading digits r0 <= s0: carry is r0 + s0 >= p,
-    and d1, d2 count the step and weight terms of the reduction."""
-    if r0 + s0 < p:
-        return False, r0, r0
-    return True, p - s0 - 1, p - s0
-
-
 def _merge(left, right) -> tuple[int, int, int, int]:
     """(sum w, sum w r1, sum w s1, sum w max(0, r1 - s1)) over the pairs
     of (r1, c) in left and (s1, d) in right, with weight w = c d.  Both
@@ -401,7 +393,8 @@ def _grid(
     slot list indexed by k: the boundary term at k = 0 (see
     docs/discrepancies.md), spread = sum w |r1 - s1| = 2 boundary - wr1 + ws1
     at the steps k = 2i, i = 1..d1, and weight = p^beta w - wr1 - ws1 at
-    k = 2i - 1, i = 1..d2; with a carry (r0 + s0 >= p) also
+    k = 2i - 1, i = 1..d2.  The digit case sets the counts: without a carry
+    (r0 + s0 < p) d1 = d2 = r0; with one, d1 = p - s0 - 1, d2 = p - s0, and
     c1 = (r0 + s0 - p) p^beta w + wr1 + ws1 at V_{p^(beta+1)}.
 
     Disjoint blocks: every b_j is at most p^beta, and a remainder term with
@@ -418,7 +411,8 @@ def _grid(
     at the envelope p^(beta+1), the collision term of the level above, is
     written last.  Every index written is a plain int, positive and at
     most the envelope."""
-    carry, d1, _ = _digit_case(p, r0, s0)
+    carry = r0 + s0 >= p
+    d1 = p - s0 - 1 if carry else r0
     shift = (s0 - r0) * pb
     slots = [2 * boundary - wr1 + ws1, pb * w - wr1 - ws1] * (d1 + 1)
     slots[0] = boundary if shift else 0

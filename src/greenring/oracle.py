@@ -206,12 +206,15 @@ in one process, same VM).
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from collections import Counter
 
 from .digits import VerificationError, is_prime
 
 DEFAULT_BUDGET = 16384
+# The default budget sweeps at most 80,840 pairs, at any group.
+MAX_VERIFY_PAIRS = 2**20
 
 
 class BudgetExceeded(ValueError):
@@ -511,6 +514,27 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
     return JordanType(_descending(_box_blocks(p, r, s)))
 
 
+def _sweep_pairs(q: int, budget: int) -> int:
+    """The number of pairs 1 <= r <= s <= q with r s <= budget, the sum
+    over s <= min(q, budget) of min(s, budget // s), counted without
+    visiting them, or a number above ``MAX_VERIFY_PAIRS`` once the count
+    passes it.  Each s <= isqrt(budget) gives s pairs, a triangle number
+    in closed form; each larger s gives budget // s < s, summed over runs
+    of s with the same quotient.  Runs are summed only when q > k =
+    isqrt(budget) and the triangle k (k + 1) / 2 is within the cap, so
+    k <= 1447; every quotient is at most k, so there are at most k runs."""
+    top = min(q, budget)
+    k = min(top, math.isqrt(budget))
+    pairs = k * (k + 1) // 2
+    s = k + 1
+    while s <= top and pairs <= MAX_VERIFY_PAIRS:
+        quotient = budget // s
+        last = min(top, budget // quotient)
+        pairs += quotient * (last - s + 1)
+        s = last + 1
+    return pairs
+
+
 def verify_engine(
     p: int, alpha: int, budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
@@ -521,7 +545,8 @@ def verify_engine(
     Returns the list of mismatches (empty on success), each entry ready
     for JSON serialization, with the expected blocks descending as in
     ``JordanType``.  A budget below 1 would check no pair at all, so it
-    is rejected; ``GroupSpec`` checks p.
+    is rejected; ``GroupSpec`` checks p.  A sweep of more than
+    ``MAX_VERIFY_PAIRS`` pairs raises ``ValueError`` before the first pair.
     """
     from . import core_ring
 
@@ -529,6 +554,10 @@ def verify_engine(
         raise ValueError(f"budget must be at least 1, got {budget}")
     group = core_ring.GroupSpec(p, alpha)
     q = group.q
+    if _sweep_pairs(q, budget) > MAX_VERIFY_PAIRS:
+        raise ValueError(
+            f"budget {budget} at q = {q} sweeps more than {MAX_VERIFY_PAIRS} pairs"
+        )
     mismatches = []
     for s in range(1, min(q, budget) + 1):
         for r in range(1, min(s, budget // s) + 1):

@@ -196,6 +196,15 @@ class TestRankVerifyRelations:
         code, out, _ = run("verify", "--p", "2", "--alpha", "2", "--format", "json")
         assert (code, json.loads(out)) == (0, [])
 
+    def test_oversized_verify_sweep_is_exit_2(self):
+        # about 7e12 pairs; counting them must not visit them
+        start = time.monotonic()
+        done = _run_capped("verify", "--p", "2", "--alpha", "30", "--budget", "1000000000000")
+        assert time.monotonic() - start < 30
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_verify_rejects_budget_below_one(self, run, budget):
         code, out, err = run("verify", "--p", "3", "--alpha", "2", "--budget", budget)

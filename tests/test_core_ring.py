@@ -793,18 +793,23 @@ class TestReductionParameters:
         assert pb <= s < pb * p and 1 <= s0 < p
         assert r == r0 * pb + r1 and 0 <= r1 < pb
         assert s == s0 * pb + s1 and 0 <= s1 < pb
-        carry, d1, d2 = core_ring._digit_case(p, r0, s0)
         if r0 + s0 < p:
-            assert not carry
-            assert d1 == r0
-            assert d2 == r0
+            d1 = d2 = r0
         else:
-            assert carry
+            d1, d2 = p - s0 - 1, p - s0
             # the carry term: c1 = r + s - p^(beta+1) copies of V_{p^(beta+1)}
             product = tensor(GroupSpec(p, beta + 1), r, s)
             assert product.coeffs.get(pb * p, 0) == r + s - pb * p
-            assert d1 == p - s0 - 1
-            assert d2 == p - s0
+        # d1 and d2 read off the grid of one pair: remainders (0, 0) give
+        # only the d2 weight terms, at odd k; (0, 1) gives the d1 step
+        # terms at even k, and weight terms beside them when p^beta > 1
+
+        def slots(r1, s1):
+            out, _ = core_ring._grid(p, pb, r0, s0, 1, r1, s1, max(0, r1 - s1), (), ())
+            return [(i - (s0 - r0) * pb) // pb for i in out if i < pb * p]
+
+        assert slots(0, 0) == [2 * i - 1 for i in range(1, d2 + 1)]
+        assert [k for k in slots(0, 1) if k % 2 == 0] == [2 * i for i in range(1, d1 + 1)]
 
 
 class TestMemoRetention:

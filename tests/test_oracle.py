@@ -437,6 +437,36 @@ class TestVerifyEngine:
         # q = 2^16 has about 2e9 pairs; only the 144 within budget are visited
         assert verify_engine(2, 16, budget=64) == []
 
+    @pytest.mark.parametrize("q", [1, 2, 9, 64, 1000, 2**30])
+    @pytest.mark.parametrize("budget", [1, 2, 63, 64, 65, 1000, 20000])
+    def test_sweep_pairs_counts_the_visited_pairs(self, q, budget):
+        direct = sum(min(s, budget // s) for s in range(1, min(q, budget) + 1))
+        assert oracle._sweep_pairs(q, budget) == direct
+
+    def test_default_budget_is_within_the_cap(self):
+        # s <= 16384 reaches every pair the default budget admits
+        most = oracle._sweep_pairs(2**30, DEFAULT_BUDGET)
+        assert most == oracle._sweep_pairs(16384, DEFAULT_BUDGET) == 80840
+        assert most <= oracle.MAX_VERIFY_PAIRS
+
+    def test_oversized_sweep_refused_before_any_pair(self, monkeypatch):
+        # (3, 2) at budget 9 sweeps 1 + 2 + 3 + 2 + 1 + 1 + 1 + 1 + 1 = 13
+        # pairs: a cap of 13 lets it through, 12 refuses it unvisited
+        monkeypatch.setattr(oracle, "MAX_VERIFY_PAIRS", 13)
+        assert verify_engine(3, 2, budget=9) == []
+        monkeypatch.setattr(oracle, "MAX_VERIFY_PAIRS", 12)
+
+        def visited(p, r, s):
+            raise AssertionError(f"pair ({r}, {s}) visited")
+
+        monkeypatch.setattr(oracle, "_box_blocks", visited)
+        with pytest.raises(ValueError, match="more than 12 pairs"):
+            verify_engine(3, 2, budget=9)
+        # a sweep this large would run for days; it is refused at once
+        monkeypatch.setattr(oracle, "MAX_VERIFY_PAIRS", 2**20)
+        with pytest.raises(ValueError, match="sweeps more than 1048576 pairs"):
+            verify_engine(2, 30, budget=10**12)
+
 
 class TestShiftedProduct:
     """jordan_type_dense multiplies by N = J_r (x) J_s - 1 as three shifted
