@@ -213,7 +213,8 @@ from collections import Counter
 from .digits import VerificationError, is_prime
 
 DEFAULT_BUDGET = 16384
-# The default budget sweeps at most 80,840 pairs, at any group.
+# Pairs in one verify_engine sweep; the default budget sweeps at most
+# 80,840 at any group.
 MAX_VERIFY_PAIRS = 2**20
 
 
@@ -518,11 +519,11 @@ def _sweep_pairs(q: int, budget: int) -> int:
     """The number of pairs 1 <= r <= s <= q with r s <= budget, the sum
     over s <= min(q, budget) of min(s, budget // s), counted without
     visiting them, or a number above ``MAX_VERIFY_PAIRS`` once the count
-    passes it.  Each s <= isqrt(budget) gives s pairs, a triangle number
-    in closed form; each larger s gives budget // s < s, summed over runs
-    of s with the same quotient.  Runs are summed only when q > k =
-    isqrt(budget) and the triangle k (k + 1) / 2 is within the cap, so
-    k <= 1447; every quotient is at most k, so there are at most k runs."""
+    passes it.  Each s <= k = isqrt(budget) gives s pairs, a triangle
+    number in closed form; each larger s gives budget // s < s, summed
+    over runs of s with the same quotient.  The runs start only when
+    q > k and the whole triangle, k (k + 1) / 2 pairs, is within the cap,
+    so k <= 1447; each quotient is at most k, so there are at most k runs."""
     top = min(q, budget)
     k = min(top, math.isqrt(budget))
     pairs = k * (k + 1) // 2
