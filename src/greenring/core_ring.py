@@ -49,14 +49,16 @@ groups aggregates, single-term groups included.
 All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict.  It keeps every pair a caller asks for
 (``tensor``, and the pair reads of ``mul``), each once, as a read-only
-mapping that ``tensor`` returns without copying.  An entry of more than
-``_SMALL_TERMS`` = 32 terms is a ``_Terms``, a mapping over two
-``array('i')`` (indices and multiplicities) at 8 bytes a term, where a
-dict takes about 34; above an envelope of 2^31 the two are tuples.  A
-smaller entry stays a proxy over a dict, whose comparisons and iteration
-run at C speed.  An interior pair of a digit chain, a remainders'
-product that a level reads, is kept only up to the dimension bound
-``_INTERIOR_KEEP_DIM``; a larger one is computed, used and dropped.  The
+mapping that ``tensor`` returns without copying.  Its form follows the
+pair's dimension r s against ``_INTERIOR_KEEP_DIM`` = 2^14.  A pair
+within it, of at most min(r, s) <= 128 terms, stays a proxy over a dict,
+whose comparisons and iteration run at C speed.  A larger pair is a
+``_Terms``, a mapping over two arrays, the indices in ``array('i')`` and
+the multiplicities in ``array('H')`` while min(r, s) < 2^16 (else
+``array('i')``), at 6 bytes a term where a dict takes about 34; above an
+envelope of 2^31 the two are tuples.  An interior pair of a digit chain,
+a remainders' product that a level reads, is kept only up to the same
+dimension bound; a larger one is computed, used and dropped.  The
 per-call table of ``mul`` never enters the memo.  Every computed entry,
 kept or not, is checked for positivity and dimension, and every stored
 one for its top index, so a memo read needs no check.  CPython dict
@@ -254,26 +256,27 @@ def chi(group: GroupSpec, k: int) -> RingElement:
 # V_r (x) V_s depends only on p, never on alpha, because every block is
 # bounded by the p-power envelope of max(r, s).  Values are read-only
 # mappings, shared with every element ``tensor`` returns for the key
-# (``_memo_entry``): an entry of more than _SMALL_TERMS terms is a _Terms,
-# two int32 arrays at 8 bytes a term against about 34 in a dict, and a
-# smaller one a MappingProxyType over a dict, which compares and iterates
-# at C speed.  After 20,000 cold queries at (5,7) the large entries hold
-# 88% of the memo's terms, while a verify sweep's entries have a median
-# of 3 terms and 3 of its 4,546 have more than 32.  Every pair a caller
-# asks for is stored; an interior pair of a digit chain (the remainders'
-# product a level reads) is stored only when r s <= _INTERIOR_KEEP_DIM.  In a bulk tensor workload the larger interior
-# entries hold about half the memo's terms and are almost never read
-# again, so they are computed, checked, used and dropped.  A dimension
-# bound does not depend on p, and caps the interior part at the
-# pairs r <= s with r s <= 2^14 (80,840 of them for each p).
+# (``_memo_entry``).  The form follows r s against _INTERIOR_KEEP_DIM:
+# a pair within it is a MappingProxyType over a dict, which compares and
+# iterates at C speed, and a larger one a _Terms over an int32 index
+# array and a uint16 (or int32) multiplicity array, 6 bytes a term against
+# about 34 in a dict.  The default verify budget is the same 2^14, so a
+# sweep stores and compares dicts only, while a bulk tensor workload at
+# (5,7) asks almost only for pairs above it.  Every pair a caller asks
+# for is stored; an interior pair of a digit chain (the remainders'
+# product a level reads) is stored only when r s <= _INTERIOR_KEEP_DIM.
+# In a bulk tensor workload the larger interior entries hold about half
+# the memo's terms and are almost never read again, so they are
+# computed, checked, used and dropped.  A dimension bound does not depend
+# on p, and caps the interior part at the pairs r <= s with r s <= 2^14
+# (80,840 of them for each p).
 _TENSOR_CACHE: dict[tuple[int, int, int], Mapping[int, int]] = {}
 _INTERIOR_KEEP_DIM = 2**14
-_SMALL_TERMS = 32
 
 
 class _Terms(Mapping):
-    """A read-only mapping over two sequences, ``array('i')`` or tuples,
-    the indices and the multiplicities of a memo entry in the order
+    """A read-only mapping over two sequences, arrays or tuples, the
+    indices and the multiplicities of a memo entry in the order
     ``_grid`` wrote them.  Looking up one index scans the indices, so
     callers iterate it (``items()``) rather than index it; ``values()`` is
     the sequence of multiplicities."""
@@ -326,18 +329,24 @@ class _TermsItems(ItemsView):
         return zip(self._mapping._keys, self._mapping._values)
 
 
-def _memo_entry(idx: list[int], vals: list[int], envelope: int) -> Mapping[int, int]:
-    """The read-only memo entry for a checked level's index and
-    multiplicity lists, its terms in the same order.  A large entry is two
-    int32 arrays when the level's envelope p^(beta+1) is below 2^31: its
-    indices are at most the envelope, and a multiplicity is at most
-    min(r, s), so both fit.  Above that envelope it is two tuples."""
-    if len(idx) <= _SMALL_TERMS:
+def _memo_entry(
+    idx: list[int], vals: list[int], r: int, s: int, envelope: int,
+) -> Mapping[int, int]:
+    """The read-only memo entry of V_r (x) V_s, r <= s, for a checked
+    level's index and multiplicity lists, its terms in the same order.
+    The form follows the pair's dimension.  Up to r s = _INTERIOR_KEEP_DIM
+    (every kept interior pair, and every pair a default verify sweep asks
+    for) it is a proxy over a dict, of at most r terms.  A larger pair is a
+    _Terms over two arrays when the level's envelope p^(beta+1) is below
+    2^31: the indices are at most the envelope, in int32, and a
+    multiplicity is at most r, the block count, in uint16 when r < 2^16
+    and else in int32.  Above that envelope it is two tuples."""
+    if r * s <= _INTERIOR_KEEP_DIM:
         return MappingProxyType(dict(zip(idx, vals)))
     if envelope >= 2**31:
         return _Terms(tuple(idx), tuple(vals))
     try:
-        return _Terms(array("i", idx), array("i", vals))
+        return _Terms(array("i", idx), array("H" if r < 2**16 else "i", vals))
     except OverflowError:
         raise VerificationError("multiplicity above min(r, s)") from None
 
@@ -509,7 +518,7 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
             bound = pb if s == pb else pb * p
             if max(idx) > bound:
                 raise VerificationError(f"index {max(idx)} exceeds {bound} at {key}")
-            entry = _TENSOR_CACHE[key] = _memo_entry(idx, vals, pb * p)
+            entry = _TENSOR_CACHE[key] = _memo_entry(idx, vals, r, s, pb * p)
         rest = idx, vals
     return entry
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenring
-from greenring import core_ring
+from greenring import core_ring, oracle
 from greenring.core_ring import (
     GroupSpec,
     RingElement,
@@ -325,30 +325,35 @@ class TestSharedMemoEntry:
 
 
 class TestCompactEntry:
-    """A memo entry of more than _SMALL_TERMS terms is a read-only mapping
-    over two int32 arrays, or two tuples above an envelope of 2^31; a
-    smaller one stays a read-only proxy over a dict.  All act as the
-    oracle's dict of block multiplicities."""
+    """A memo entry of a pair with r s above _INTERIOR_KEEP_DIM = 2^14 is a
+    read-only mapping over two arrays, or two tuples above an envelope of
+    2^31; a pair within it stays a read-only proxy over a dict.  All act as
+    the oracle's dict of block multiplicities."""
 
     G54 = GroupSpec(5, 4)
     G57 = GroupSpec(5, 7)
+    G216 = GroupSpec(2, 16)
     G325 = GroupSpec(3, 25)
-    # at p = 5 these pairs have exactly K = 32 and K + 1 = 33 terms
-    SMALL, LARGE = (62, 86), (86, 187)
+    # at p = 5 these pairs straddle r s = 2^14, with 10 and 8 terms
+    SMALL, LARGE = (128, 128), (128, 129)
     BIG = (54168, 20447)  # 1,091 terms at (5,7)
+    WIDE = (65536, 65537)  # 33 terms at (5,7), r = 2^16
     HUGE = (676461728396, 529453331036)  # 95 terms at (3,25), all above 2^31
+    # a level for V_{2^15} (x) V_{2^15} at p = 2 with 2^16 copies of V_1
+    _OVER_UINT16 = ([1, 2**15], [2**16, 2**15 - 2])
 
     def test_size_rule(self):
-        k = core_ring._SMALL_TERMS
+        # the form follows the dimension, not the term count
         small, large = (tensor(self.G54, *pair).coeffs for pair in (self.SMALL, self.LARGE))
-        assert (len(small), len(large)) == (k, k + 1)
+        assert 128 * 128 == core_ring._INTERIOR_KEEP_DIM < 128 * 129
+        assert (len(small), len(large)) == (10, 8)
         assert type(small) is MappingProxyType
         assert type(large) is core_ring._Terms
 
     @pytest.mark.parametrize("pair", [SMALL, LARGE])
     def test_equality_both_ways(self, pair):
         entry = tensor(self.G54, *pair).coeffs
-        want = jordan_type(5, *pair).multiplicities()
+        want = jordan_type(5, *pair, budget=2**15).multiplicities()
         keys, values = zip(*want.items())
         reordered = core_ring._Terms(keys[::-1], values[::-1])
         for other in (want, MappingProxyType(want), entry, reordered):
@@ -364,7 +369,7 @@ class TestCompactEntry:
     @pytest.mark.parametrize("pair", [SMALL, LARGE])
     def test_reads(self, pair):
         entry = tensor(self.G54, *pair).coeffs
-        want = jordan_type(5, *pair).multiplicities()
+        want = jordan_type(5, *pair, budget=2**15).multiplicities()
         assert len(entry) == len(want)
         assert sorted(entry) == sorted(entry.keys()) == sorted(want)
         assert sorted(entry.values()) == sorted(want.values())
@@ -395,16 +400,19 @@ class TestCompactEntry:
         assert entry == before
 
     def test_storage_form_follows_the_envelope(self):
-        big = tensor(self.G57, *self.BIG).coeffs
-        assert len(big) == 1091
-        assert type(big._keys) is type(big._values) is array
-        assert big._keys.typecode == big._values.typecode == "i"
+        # int32 indices; uint16 multiplicities when r < 2^16, else int32
+        forms = ((self.BIG, 1091, "H"), (self.LARGE, 8, "H"), (self.WIDE, 33, "i"))
+        for pair, terms, typecode in forms:
+            entry = tensor(self.G57, *pair).coeffs
+            assert len(entry) == terms
+            assert type(entry._keys) is type(entry._values) is array
+            assert (entry._keys.typecode, entry._values.typecode) == ("i", typecode)
         huge = tensor(self.G325, *self.HUGE).coeffs
         assert len(huge) == 95 and min(huge) > 2**31
         assert type(huge._keys) is type(huge._values) is tuple
 
     def test_text_json_and_hash_equal_a_rebuilt_element(self):
-        # the int32 arrays at (5,7) and the tuples at (3,25)
+        # the arrays at (5,7) and the tuples at (3,25)
         for group, pair in ((self.G57, self.BIG), (self.G325, self.HUGE)):
             element = tensor(group, *pair)
             assert type(element.coeffs) is core_ring._Terms and len(element.coeffs) > 32
@@ -426,8 +434,39 @@ class TestCompactEntry:
         warm = tensor(self.G57, *self.BIG[::-1])
         assert warm.coeffs is cold.coeffs and warm.group == self.G57
 
+    def test_multiplicity_beyond_uint16_raises(self, monkeypatch):
+        # a one-level chain at r = s = 2^15, positive, of dimension r s and
+        # with its top index at P(s) = 2^15, but 2^16 copies of V_1: only
+        # the uint16 multiplicities of an entry with r < 2^16 can catch it
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        monkeypatch.setattr(core_ring, "_tensor_level", lambda p, pb, r, s, i, v: self._OVER_UINT16)
+        with pytest.raises(VerificationError, match=r"multiplicity above min\(r, s\)"):
+            tensor(self.G216, 2**15, 2**15)
+        assert core_ring._TENSOR_CACHE == {}
+
+    def test_multiplicity_beyond_uint16_raises_under_optimize(self):
+        script = (
+            "from greenring import core_ring, digits\n"
+            f"core_ring._tensor_level = lambda p, pb, r, s, i, v: {self._OVER_UINT16}\n"
+            "try:\n"
+            "    core_ring.tensor(core_ring.GroupSpec(2, 16), 2**15, 2**15)\n"
+            "except digits.VerificationError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = _run_optimized(script)
+        assert out.startswith("multiplicity above min(r, s)"), out
+
+    def test_default_sweep_stores_only_dicts(self, monkeypatch):
+        # every pair a default verify sweep asks for has r s <= 2^14, so
+        # each is stored, and compared, as a dict
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        assert oracle.verify_engine(3, 4) == []
+        entries = core_ring._TENSOR_CACHE.values()
+        assert len(entries) == 3321
+        assert all(type(entry) is MappingProxyType for entry in entries)
+
     def test_compact_form_is_under_half_a_dict(self):
-        # 8.2 bytes a term against 33.9 for a dict of the same terms
+        # 6.2 bytes a term against 33.9 for a dict of the same terms
         entry = tensor(self.G57, *self.BIG).coeffs
         assert len(entry) >= 1000
         compact = sys.getsizeof(entry) + sys.getsizeof(entry._keys) + sys.getsizeof(entry._values)
@@ -938,8 +977,11 @@ class TestIndexTable:
             _, pb = core_ring._leading_level(p, s)
             bound = pb if s == pb else pb * p
             assert all(type(i) is int and 1 <= i <= bound for i in entry), (r, s)
-            if len(entry) > core_ring._SMALL_TERMS:
-                assert entry._keys.typecode == entry._values.typecode == "i"
+            if r * s <= core_ring._INTERIOR_KEEP_DIM:
+                assert type(entry) is MappingProxyType
+            else:
+                assert entry._keys.typecode == "i"
+                assert entry._values.typecode == ("H" if r < 2**16 else "i")
 
     def test_table_stays_within_its_bound(self, cleared):
         # the 4,095-level chain, whose envelope 2^4095 is far above int32
