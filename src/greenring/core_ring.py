@@ -40,11 +40,17 @@ for the terms of a and b that share leading digits r0 and s0 at the top
 level it needs only the aggregated remainder product
 (sum c V_{r1}) (sum d V_{s1}) and four bilinear sums over the two sides
 (``_merge``); the spread |r1 - s1| enters through |x| = 2 max(0, x) - x.
-Each aggregated product is computed once per ``mul`` call, in a table
-local to the call, from an explicit stack.  Each product decides once:
-when either factor has a single term in every digit group, the whole
-product is summed from the pair memo; otherwise every pair of digit
-groups aggregates, single-term groups included.
+Every pair of digit groups is one part of one shape, its two digits,
+its sums and the key of its sub-product, and ``_grid`` builds every
+part: for two groups below p^beta (r0 = s0 = 0) the rule is the
+identity on their sub-product.  Like the pair engine, ``mul`` runs in
+two passes with no recursion: the first records the split of every
+aggregated product reachable from the factors, and the second builds
+them in ascending p^beta, each once per call, in a table local to the
+call.  Each product decides once: when either factor has a single term
+in every digit group, the whole product is summed from the pair memo;
+otherwise every pair of digit groups aggregates, single-term groups
+included.
 
 All operations are pure functions on immutable values.  The tensor memo
 table is a read-mostly dict.  It keeps every pair a caller asks for
@@ -326,7 +332,7 @@ class _TermsItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping._keys, self._mapping._values)
+        return zip(self._mapping, self._mapping.values())
 
 
 def _memo_entry(
@@ -386,8 +392,8 @@ def _grid(
     p: int, pb: int, r0: int, s0: int,
     w: int, wr1: int, ws1: int, boundary: int, idx: Sequence[int], vals: Sequence[int],
 ) -> tuple[list[int], list[int]]:
-    """One level of the digit reduction at pb = p^beta, with r0 <= s0 and
-    1 <= s0 < p: sum w V_{r0 p^beta + r1} (x) V_{s0 p^beta + s1} over
+    """One level of the digit reduction at pb = p^beta, with
+    0 <= r0 <= s0 < p: sum w V_{r0 p^beta + r1} (x) V_{s0 p^beta + s1} over
     pairs (r1, s1) of weight w, given four sums over the pairs, written
     w = sum w, wr1 = sum w r1, ws1 = sum w s1 and
     boundary = sum w max(0, r1 - s1), and the remainders' product
@@ -396,7 +402,10 @@ def _grid(
     last when it is there.  Returns the level the same way, as two lists.
     A single pair passes (1, r1, s1, max(0, r1 - s1)); ``mul`` passes the
     sums of a digit-group pair (``_merge``).  This is the one home of the
-    rule.
+    rule.  A pair's own level has s0 >= 1; r0 = s0 = 0 comes only from
+    ``mul``'s two digit-0 groups, where the rule is the identity on the
+    remainders' product: no slot, step or carry is written, and a term at
+    p^beta, the collision term, is put back last.
 
     The grid terms sit on shift + k p^beta, shift = (s0 - r0) p^beta, in a
     slot list indexed by k: the boundary term at k = 0 (see
@@ -498,10 +507,7 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
         entry = _TENSOR_CACHE.get((p, r, s))
         if entry is not None:
             # an entry keeps the order _grid wrote its terms in
-            if type(entry) is _Terms:
-                rest = entry._keys, entry._values
-            else:
-                rest = tuple(entry), tuple(entry.values())
+            rest = tuple(entry), tuple(entry.values())
             break
         while pb > s:
             pb //= p
@@ -552,10 +558,10 @@ def _split(p: int, pb: int, a: tuple, b: tuple) -> tuple[int, dict[int, int], li
     far, and the digit-group pairs still to add.  When either factor has a
     single term in every digit group, the whole product is summed from the
     checked, memoized pair decompositions and no pair is left.  Otherwise
-    every pair of groups is left, as (r0, s0, sums, sub): sub is the key of
-    the sub-product the pair needs (None when it is zero), and sums the
-    pair's ``_merge`` sums (None for two groups below p^beta, whose product
-    is the sub-product itself)."""
+    every pair of groups is left, two groups below p^beta included, as
+    (r0, s0, sums, sub) with r0 <= s0: sums are the pair's ``_merge`` sums,
+    and sub is the key of the sub-product the pair needs (None when it is
+    zero), a pair of term tuples below p^beta."""
     top = max(a[-1][0], b[-1][0])
     while pb > top:
         pb //= p
@@ -575,9 +581,6 @@ def _split(p: int, pb: int, a: tuple, b: tuple) -> tuple[int, dict[int, int], li
                 r0, s0, left, right = digit_a, digit_b, terms_a, terms_b
             else:
                 r0, s0, left, right = digit_b, digit_a, terms_b, terms_a
-            if s0 == 0:
-                parts.append((0, 0, None, (left, right)))
-                continue
             low = tuple(term for term in left if term[0])
             high = tuple(term for term in right if term[0])
             sub = (low, high) if low and high else None
@@ -587,34 +590,27 @@ def _split(p: int, pb: int, a: tuple, b: tuple) -> tuple[int, dict[int, int], li
 
 def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
     """Raw coefficients of the product of two nonempty term tuples
-    ((r, c), ...) sorted by index (see ``mul``).  The table maps a pair of
-    term tuples to their product, so each aggregated product is computed
-    once per call.  A product's sub-products are computed before it, from
-    an explicit stack, so a deep digit chain never meets Python's recursion
-    limit; each sub-product has indices below the p^beta of the product
-    that needs it, which bounds its level."""
+    ((r, c), ...) sorted by index (see ``mul``), in two passes, with no
+    recursion.  The first records the split (``_split``) of every
+    aggregated product reachable from (a, b), each once.  The second
+    builds them in ascending p^beta, each split released as it is used,
+    into a table that maps a pair of term tuples to their product: a
+    sub-product's indices are remainders below the p^beta of every product
+    that reads it, so it sits at a lower level and is built first."""
     _, pb = _leading_level(p, max(a[-1][0], b[-1][0]))
+    splits: dict[tuple, tuple] = {}
     stack = [((a, b), pb)]
-    table: dict[tuple, dict[int, int]] = {}
-    pending: dict[tuple, tuple] = {}
     while stack:
-        key, pb = stack[-1]
-        if key in table:
-            stack.pop()
-            continue
-        if key not in pending:
-            pending[key] = split = _split(p, pb, *key)
-            subs = [(sub, split[0]) for *_, sub in split[2] if sub and sub not in table]
-            if subs:
-                stack += subs
-                continue
-        pb, out, parts = pending.pop(key)
+        key, pb = stack.pop()
+        if key not in splits:
+            splits[key] = split = _split(p, pb, *key)
+            stack += [(sub, split[0]) for *_, sub in split[2] if sub]
+    table: dict[tuple, dict[int, int]] = {}
+    for key in sorted(splits, key=lambda key: splits[key][0]):
+        pb, out, parts = splits.pop(key)
         for r0, s0, sums, sub in parts:
             rest = table[sub] if sub else {}
-            if sums is None:
-                part = rest.items()
-            else:
-                part = zip(*_grid(p, pb, r0, s0, *sums, tuple(rest), tuple(rest.values())))
+            part = zip(*_grid(p, pb, r0, s0, *sums, tuple(rest), tuple(rest.values())))
             for idx, c in part:
                 out[idx] = out.get(idx, 0) + c
         # a term at the envelope goes last, where _grid looks for the
@@ -622,7 +618,6 @@ def _product(p: int, a: tuple, b: tuple) -> dict[int, int]:
         if pb * p in out:
             out[pb * p] = out.pop(pb * p)
         table[key] = out
-        stack.pop()
     return table[a, b]
 
 
@@ -646,14 +641,17 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     factor has a single term in every digit group, no pair of groups
     aggregates, and the whole product is summed from the checked, memoized
     pair decompositions instead; nothing else reads the pair memo.  Two
-    groups both below p^beta multiply as a product at a lower level.
+    groups both below p^beta are a pair like any other, at r0 = s0 = 0,
+    where the rule passes their sub-product, a product at a lower level,
+    through unchanged.
 
     The aggregated products live in a table local to the call, keyed by the
     two sides' sorted (r1, c) tuples: a U_r has the same remainder part
     under each of its leading digits, so the same product recurs across
     digit-group pairs and levels, and is computed once.  The table is
     dropped with the call and never enters the pair memo.  The products are
-    computed from an explicit stack, not by recursion (``_product``).
+    built in two passes, not by recursion (``_product``): every split is
+    recorded first, then the products are built from the lowest level up.
 
     The result is checked with plain ifs that survive ``python -O``: its
     dimension must be dim a * dim b, and a product of two modules (all

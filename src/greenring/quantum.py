@@ -37,7 +37,7 @@ def eval_at_element(n: int, x: RingElement) -> RingElement:
 
 # The relations take 2 alpha - 1 ring products, one pass over the levels;
 # alpha^3 p^2 bounds that work loosely: on a 2-vCPU VM, at the cap
-# (1117, 2) takes 0.05 s and (2, 135) 0.17 s in process.  Larger groups
+# (1117, 2) takes 0.03-0.05 s and (2, 135) 0.05-0.09 s in process.  Larger groups
 # are refused before any product.
 MAX_RELATION_WORK = 10**7
 

@@ -616,6 +616,27 @@ class TestMulCrossCheck:
             assert sorted(map(len, groups.values())) == [1, 2]
         assert mul(a, b) == mul(b, a) == _pairwise(a, b)
 
+    def test_a_sub_product_read_at_two_levels(self, monkeypatch):
+        # the per-call table of this product at (3,5) holds the sub-product
+        # (2 V_3 - 2 V_7) (-V_8) at p^beta = 3, read by a product at
+        # p^beta = 9 and by one at 27; mul builds in ascending p^beta, so it
+        # is there for both readers, whatever order they were found in
+        group = GroupSpec(3, 5)
+        a = RingElement(group, {124: -2, 147: 2, 165: 2, 169: -2, 194: -2})
+        b = RingElement(group, {114: -1, 115: -1, 134: -1, 216: -2, 224: -1})
+        readers = {}
+        split = core_ring._split
+
+        def recorded(p, pb, x, y):
+            out = split(p, pb, x, y)
+            for *_, sub in out[2]:
+                readers.setdefault(sub, set()).add(out[0])
+            return out
+
+        monkeypatch.setattr(core_ring, "_split", recorded)
+        assert mul(a, b) == _pairwise(a, b)
+        assert readers[((3, 2), (7, -2)), ((8, -1),)] == {9, 27}
+
     def test_chain_products_of_72_term_u_elements(self):
         # shaped like the benchmark's products: U_r at (5,5) with r - 1 of
         # base-5 digits (d0, a, b, c, 2), (a, b, c) a permutation of
@@ -851,6 +872,27 @@ class TestReductionParameters:
         assert [k for k in slots(0, 1) if k % 2 == 0] == [2 * i for i in range(1, d1 + 1)]
 
 
+class TestDigitZeroPart:
+    """_grid at r0 = s0 = 0, mul's pair of two digit-0 groups: the level is
+    the remainders' product itself, in its order, with a term at p^beta,
+    the collision term, put back last; the four sums write nothing."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_identity_on_the_remainders_product(self, p, beta):
+        pb = p**beta
+        rng = random.Random(pb)
+        for collision in (False, True):
+            for size in range(pb):
+                idx = rng.sample(range(1, pb), size) + [pb] * collision
+                vals = [rng.choice((-3, -1, 1, 2, 5)) for _ in idx]
+                left = ((rng.randrange(1, pb), rng.choice((-2, 1, 3))),)
+                right = {rng.randrange(1, pb): rng.choice((-2, 1, 3)) for _ in range(3)}
+                sums = core_ring._merge(left, tuple(sorted(right.items())))
+                out = core_ring._grid(p, pb, 0, 0, *sums, tuple(idx), tuple(vals))
+                assert out == (idx, vals), (sums, idx, vals)
+
+
 class TestMemoRetention:
     """The memo keeps every pair a caller asks for, and an interior pair of
     a digit chain only when r s <= _INTERIOR_KEEP_DIM; larger interior
@@ -917,6 +959,26 @@ class TestMemoRetention:
         bounded = run()
         monkeypatch.setattr(core_ring, "_INTERIOR_KEEP_DIM", float("inf"))
         assert run() == bounded
+
+    def test_a_compact_entry_read_as_a_remainders_product(self, monkeypatch):
+        # a requested (150, 200) is kept as a _Terms; the chain of (R, S)
+        # stops at it and builds its one level from it, to the terms, in
+        # their order, of the same query on a cleared memo
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        cold = list(tensor(self.G57, self.R, self.S).coeffs.items())
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        assert type(tensor(self.G57, 150, 200).coeffs) is core_ring._Terms
+        levels = []
+        tensor_level = core_ring._tensor_level
+
+        def recorded(p, pb, r, s, idx, vals):
+            levels.append((r, s))
+            return tensor_level(p, pb, r, s, idx, vals)
+
+        monkeypatch.setattr(core_ring, "_tensor_level", recorded)
+        warm = list(tensor(self.G57, self.R, self.S).coeffs.items())
+        assert levels == [(self.R, self.S)]
+        assert warm == cold
 
     _SCRIPT = (
         "from greenring import core_ring, digits\n"
