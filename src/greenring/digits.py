@@ -194,7 +194,7 @@ class TrickCertificate:
         than two digits.
 
         For a base up to _CHUNK_LIMIT, j - 1 is re-expanded by divmods by
-        the chunk and each chunk's labels are read from ``_chunk_labels``;
+        the chunk and each chunk's labels are read from ``_chunk_tables``;
         a larger base has few digits per number and formats each one."""
         if self.base > _CHUNK_LIMIT:
             parts = [
@@ -202,8 +202,7 @@ class TrickCertificate:
                 for _, ds, product in reversed(self.terms)
             ]
         else:
-            chunk = _chunk_tables(self.base)[0]
-            padded, leading = _chunk_labels(self.base)
+            chunk, _, _, padded, leading = _chunk_tables(self.base)
             parts = []
             for j, ds, product in reversed(self.terms):
                 if len(ds) < 2:
@@ -218,38 +217,31 @@ class TrickCertificate:
 
 
 # Digit expansions of a base up to _CHUNK_LIMIT read whole chunks of digits
-# from tables built once per base (``_chunk_tables``), and their text from
-# labels built once per base (``_chunk_labels``); a larger base has few
-# digits per number and expands and formats them one by one.
+# and their text from tables built once per base (``_chunk_tables``); a
+# larger base has few digits per number and expands and formats them one by
+# one.
 _CHUNK_LIMIT = 256
 
 
 @functools.lru_cache(maxsize=None)  # at most one entry per base <= _CHUNK_LIMIT
-def _chunk_tables(base: int) -> tuple[int, tuple, tuple]:
-    """(chunk, padded, leading) for chunk = base^w, the largest power of the
-    base up to _CHUNK_LIMIT.  For x < chunk, padded[x] is (the w digits of
-    x, little-endian and zero-filled, their product of (digit + 1)), and
-    leading[x] the same without the zero fill."""
+def _chunk_tables(base: int) -> tuple[int, tuple, tuple, tuple, tuple]:
+    """(chunk, padded, leading, padded labels, leading labels) for chunk =
+    base^w, the largest power of the base up to _CHUNK_LIMIT.  For
+    x < chunk, padded[x] is (the w digits of x, little-endian and
+    zero-filled, their product of (digit + 1)), and leading[x] the same
+    without the zero fill; the labels of each are its digits as "(d+1)"
+    text, most significant digit first, in tuples of their own so that
+    neither ``_digit_terms`` nor ``TrickCertificate.to_text`` unpacks
+    more per term than it reads."""
     padded = [((), 1)]
     while len(padded) * base <= _CHUNK_LIMIT:
         # x = low + len(padded) d: the new digit d goes on top
         padded = [(ds + (d,), p * (d + 1)) for d in range(base) for ds, p in padded]
     leading = [((), 1)] + [(to_digits(x, base), p) for x, (_, p) in enumerate(padded) if x]
-    return len(padded), tuple(padded), tuple(leading)
-
-
-@functools.lru_cache(maxsize=None)  # at most one entry per base <= _CHUNK_LIMIT
-def _chunk_labels(base: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(padded, leading) as text: for x < chunk, the "(d+1)" labels of the
-    digits of padded[x] and of leading[x] of ``_chunk_tables(base)``, most
-    significant digit first.  Only ``TrickCertificate.to_text`` reads them,
-    so building a certificate never pays for them."""
-    _, padded, leading = _chunk_tables(base)
     labels = [f"({d + 1})" for d in range(base)]
-    return tuple(
-        tuple("".join(labels[d] for d in reversed(ds)) for ds, _ in table)
-        for table in (padded, leading)
-    )
+    text = [tuple("".join(labels[d] for d in reversed(ds)) for ds, _ in table)
+            for table in (padded, leading)]
+    return len(padded), tuple(padded), tuple(leading), *text
 
 
 def _digit_terms(indices, base: int) -> list[tuple[int, tuple[int, ...], int]]:
@@ -257,7 +249,7 @@ def _digit_terms(indices, base: int) -> list[tuple[int, tuple[int, ...], int]]:
     if base > _CHUNK_LIMIT:
         expansions = [to_digits(j - 1, base) for j in indices]
         return [(j, ds, math.prod(d + 1 for d in ds)) for j, ds in zip(indices, expansions)]
-    chunk, padded, leading = _chunk_tables(base)
+    chunk, padded, leading, _, _ = _chunk_tables(base)
     terms = []
     for j in indices:
         x, digits, product = j - 1, (), 1

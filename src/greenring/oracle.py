@@ -206,7 +206,6 @@ in one process, same VM).
 from __future__ import annotations
 
 import dataclasses
-import math
 import operator
 from collections import Counter
 
@@ -515,25 +514,11 @@ def jordan_type(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> JordanT
     return JordanType(_descending(_box_blocks(p, r, s)))
 
 
-def _sweep_pairs(q: int, budget: int) -> int:
-    """The number of pairs 1 <= r <= s <= q with r s <= budget, the sum
-    over s <= min(q, budget) of min(s, budget // s), counted without
-    visiting them, or a number above ``MAX_VERIFY_PAIRS`` once the count
-    passes it.  Each s <= k = isqrt(budget) gives s pairs, a triangle
-    number in closed form; each larger s gives budget // s < s, summed
-    over runs of s with the same quotient.  The runs start only when
-    q > k and the whole triangle, k (k + 1) / 2 pairs, is within the cap,
-    so k <= 1447; each quotient is at most k, so there are at most k runs."""
-    top = min(q, budget)
-    k = min(top, math.isqrt(budget))
-    pairs = k * (k + 1) // 2
-    s = k + 1
-    while s <= top and pairs <= MAX_VERIFY_PAIRS:
-        quotient = budget // s
-        last = min(top, budget // quotient)
-        pairs += quotient * (last - s + 1)
-        s = last + 1
-    return pairs
+def _sweep_rows(q: int, budget: int):
+    """The rows of a verify sweep, s ascending: (s, the r with 1 <= r <= s
+    and r s <= budget) for each s <= min(q, budget)."""
+    for s in range(1, min(q, budget) + 1):
+        yield s, range(1, min(s, budget // s) + 1)
 
 
 def verify_engine(
@@ -546,8 +531,10 @@ def verify_engine(
     Returns the list of mismatches (empty on success), each entry ready
     for JSON serialization, with the expected blocks descending as in
     ``JordanType``.  A budget below 1 would check no pair at all, so it
-    is rejected; ``GroupSpec`` checks p.  A sweep of more than
-    ``MAX_VERIFY_PAIRS`` pairs raises ``ValueError`` before the first pair.
+    is rejected; ``GroupSpec`` checks p.  It counts the sweep's rows
+    first (``_sweep_rows``), and a sweep of more than ``MAX_VERIFY_PAIRS``
+    pairs raises ``ValueError`` before the first pair.  Every row holds at
+    least one pair, so the count passes the cap within cap + 1 rows.
     """
     from . import core_ring
 
@@ -555,13 +542,16 @@ def verify_engine(
         raise ValueError(f"budget must be at least 1, got {budget}")
     group = core_ring.GroupSpec(p, alpha)
     q = group.q
-    if _sweep_pairs(q, budget) > MAX_VERIFY_PAIRS:
-        raise ValueError(
-            f"budget {budget} at q = {q} sweeps more than {MAX_VERIFY_PAIRS} pairs"
-        )
+    pairs = 0
+    for _, row in _sweep_rows(q, budget):
+        pairs += len(row)
+        if pairs > MAX_VERIFY_PAIRS:
+            raise ValueError(
+                f"budget {budget} at q = {q} sweeps more than {MAX_VERIFY_PAIRS} pairs"
+            )
     mismatches = []
-    for s in range(1, min(q, budget) + 1):
-        for r in range(1, min(s, budget // s) + 1):
+    for s, row in _sweep_rows(q, budget):
+        for r in row:
             expected = _box_blocks(p, r, s)
             got = core_ring.tensor(group, r, s)
             if got.coeffs != expected:

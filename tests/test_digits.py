@@ -190,8 +190,7 @@ class TestTrickText:
 
     def test_labels_match_the_digits_of_every_table_entry(self):
         for base in range(2, digits._CHUNK_LIMIT + 1):
-            _, padded, leading = digits._chunk_tables(base)
-            labels = digits._chunk_labels(base)
+            _, padded, leading, *labels = digits._chunk_tables(base)
             for table, text in zip((padded, leading), labels):
                 assert len(text) == len(table)
                 for (ds, _), label in zip(table, text):

@@ -394,6 +394,12 @@ class TestJordanTypeDataclass:
         assert JordanType((np.int64(2), True)).blocks == (2, 1)
 
 
+def _swept_pairs(q, budget):
+    """The pair count ``verify_engine`` holds against its cap: the lengths
+    of the sweep's rows, summed."""
+    return sum(len(row) for _, row in oracle._sweep_rows(q, budget))
+
+
 class TestVerifyEngine:
     def test_p2_full(self):
         assert verify_engine(2, 3) == []
@@ -441,13 +447,30 @@ class TestVerifyEngine:
     @pytest.mark.parametrize("budget", [1, 2, 63, 64, 65, 1000, 20000])
     def test_sweep_pairs_counts_the_visited_pairs(self, q, budget):
         direct = sum(min(s, budget // s) for s in range(1, min(q, budget) + 1))
-        assert oracle._sweep_pairs(q, budget) == direct
+        assert _swept_pairs(q, budget) == direct
 
     def test_default_budget_is_within_the_cap(self):
         # s <= 16384 reaches every pair the default budget admits
-        most = oracle._sweep_pairs(2**30, DEFAULT_BUDGET)
-        assert most == oracle._sweep_pairs(16384, DEFAULT_BUDGET) == 80840
+        most = _swept_pairs(2**30, DEFAULT_BUDGET)
+        assert most == _swept_pairs(16384, DEFAULT_BUDGET) == 80840
         assert most <= oracle.MAX_VERIFY_PAIRS
+
+    @pytest.mark.parametrize("p,alpha", [(2, 3), (3, 2), (2, 6)])
+    @pytest.mark.parametrize("budget", [1, 9, 63, 64, 10**6])
+    def test_judged_pairs_match_an_independent_enumeration(self, monkeypatch, p, alpha, budget):
+        # every pair 1 <= r <= s <= q with r s <= budget, each once, s then r ascending
+        judged = []
+        real = oracle._box_blocks
+
+        def recording(p, r, s):
+            judged.append((r, s))
+            return real(p, r, s)
+
+        monkeypatch.setattr(oracle, "_box_blocks", recording)
+        assert verify_engine(p, alpha, budget=budget) == []
+        q = p**alpha
+        brute = [(r, s) for s in range(1, q + 1) for r in range(1, s + 1) if r * s <= budget]
+        assert judged == brute
 
     def test_oversized_sweep_refused_before_any_pair(self, monkeypatch):
         # (3, 2) at budget 9 sweeps 1 + 2 + 3 + 2 + 1 + 1 + 1 + 1 + 1 = 13
@@ -737,7 +760,7 @@ def test_import_builds_no_table():
     script = (
         "import greenring\n"
         "from greenring import cli, digits, oracle\n"
-        "caches = (digits._chunk_tables, digits._chunk_labels)\n"
+        "caches = (digits._chunk_tables,)\n"
         "sizes = lambda: [len(oracle._W_TABLES), *(c.cache_info().currsize for c in caches)]\n"
         "print(sizes())\n"
         "cli.main(['trick', '62', '--base', '5'])\n"
@@ -746,7 +769,7 @@ def test_import_builds_no_table():
     )
     done = _run_python("-c", script)
     assert (done.returncode, done.stdout) == (
-        0, "[0, 0, 0]\n62 = (3)(3)(2) + (3)(2)(3) + (2)(3)(3) + (2)(2)(2)\n[1, 1, 1]\n"
+        0, "[0, 0]\n62 = (3)(3)(2) + (3)(2)(3) + (2)(3)(3) + (2)(2)(2)\n[1, 1]\n"
     ), done.stderr
 
 
