@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -38,6 +39,9 @@ PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 G53 = GroupSpec(5, 3)
 G33 = GroupSpec(3, 3)
 G23 = GroupSpec(2, 3)
+
+# sha256 of the (5,7) entries TestCompactEntry.test_bulk_entries_pinned draws
+BULK_DIGEST = "5fe7cda2f0c8e094bfdd6c62305371b75d98002f820f81e47ece22c47db6ee84"
 
 
 def V(group, *pairs):
@@ -471,6 +475,24 @@ class TestCompactEntry:
         assert len(entry) >= 1000
         compact = sys.getsizeof(entry) + sys.getsizeof(entry._keys) + sys.getsizeof(entry._values)
         assert compact < sys.getsizeof(dict(entry.items())) / 4
+
+    def test_bulk_entries_pinned(self, monkeypatch):
+        # what the engine stores for a bulk (5,7) workload, every entry a
+        # _Terms over two arrays, hashed in the order the pairs are drawn
+        monkeypatch.setattr(core_ring, "_TENSOR_CACHE", {})
+        rng = random.Random(36)
+        q = self.G57.q
+        pairs = [(rng.randint(1, q), rng.randint(1, q)) for _ in range(2000)]
+        digest = hashlib.sha256()
+        kept = 0
+        for r, s in pairs:
+            if r * s > 2**14:
+                entry = tensor(self.G57, r, s).coeffs
+                assert isinstance(entry, core_ring._Terms), (r, s)
+                digest.update(f"{r},{s}:{sorted(entry.items())}\n".encode())
+                kept += 1
+        assert kept == 2000
+        assert digest.hexdigest() == BULK_DIGEST
 
 
 class TestLevelLists:
