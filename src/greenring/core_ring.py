@@ -445,11 +445,11 @@ def _grid(
                 slots[k] += 2 * top
             slots[-1] += top
             idx, vals = idx[:-1], vals[:-1]
-        steps = range(shift + 2 * pb, shift + (2 * d1 + 1) * pb, 2 * pb)
-        out = [base + b for base in (shift, *steps) for b in idx]
-        if steps:
-            out += [base - b for base in steps for b in idx]
-        mult = list(vals) * (1 + 2 * len(steps))
+        bases = range(shift, shift + (2 * d1 + 1) * pb, 2 * pb)
+        out = [base + b for base in bases for b in idx]
+        if d1:
+            out += [base - b for base in bases[1:] for b in idx]
+        mult = [*vals] * (2 * d1 + 1)
     for k, c in enumerate(slots):
         if c:
             out.append(shift + k * pb)
@@ -497,7 +497,8 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
         return entry
     _, pb = _leading_level(p, s)
     chain = []
-    rest: tuple[Sequence[int], Sequence[int]] = ((), ())
+    idx: Sequence[int] = ()
+    vals: Sequence[int] = ()
     while True:
         chain.append((r, s, pb))
         r1, s1 = r % pb, s % pb
@@ -507,25 +508,23 @@ def _tensor_coeffs(p: int, r: int, s: int) -> Mapping[int, int]:
         entry = _TENSOR_CACHE.get((p, r, s))
         if entry is not None:
             # an entry keeps the order _grid wrote its terms in
-            rest = tuple(entry), tuple(entry.values())
+            idx, vals = tuple(entry), tuple(entry.values())
             break
         while pb > s:
             pb //= p
     top = chain[0]
     for level in reversed(chain):
         r, s, pb = level
-        idx, vals = _tensor_level(p, pb, r, s, *rest)
-        key = (p, r, s)
+        idx, vals = _tensor_level(p, pb, r, s, idx, vals)
         if min(vals, default=1) <= 0:
-            raise VerificationError(f"negative multiplicity at {key}")
+            raise VerificationError(f"negative multiplicity at {(p, r, s)}")
         if sum(map(operator.mul, idx, vals)) != r * s:
-            raise VerificationError(f"dimension lost at {key}")
+            raise VerificationError(f"dimension lost at {(p, r, s)}")
         if level is top or r * s <= _INTERIOR_KEEP_DIM:
             bound = pb if s == pb else pb * p
             if max(idx) > bound:
-                raise VerificationError(f"index {max(idx)} exceeds {bound} at {key}")
-            entry = _TENSOR_CACHE[key] = _memo_entry(idx, vals, r, s, pb * p)
-        rest = idx, vals
+                raise VerificationError(f"index {max(idx)} exceeds {bound} at {(p, r, s)}")
+            entry = _TENSOR_CACHE[p, r, s] = _memo_entry(idx, vals, r, s, pb * p)
     return entry
 
 
