@@ -35,7 +35,7 @@ from .digits import (
     trick_certificate,
     trick_set,
 )
-from .ideals import CyclicGroupSpec, LatticeBasis, smith_normal_form
+from .ideals import LatticeBasis, smith_normal_form
 from .oracle import JordanType, jordan_type, rank_fp, verify_engine
 from .quantum import relations
 from .ubasis import IntMatrix, change_of_basis, cousins, u_element
@@ -45,7 +45,7 @@ __all__ = [
     "one", "tensor", "zero",
     "TrickCertificate", "VerificationError", "to_digits", "trick_certificate",
     "trick_set",
-    "CyclicGroupSpec", "LatticeBasis", "smith_normal_form",
+    "LatticeBasis", "smith_normal_form",
     "JordanType", "jordan_type", "rank_fp", "verify_engine",
     "relations",
     "IntMatrix", "change_of_basis", "cousins", "u_element",

@@ -73,7 +73,7 @@ def cmd_trick(args) -> Result:
 
 
 def cmd_rank(args) -> Result:
-    report = ideals.rank_report(ideals.CyclicGroupSpec(args.n, args.p))
+    report = ideals.rank_report(args.n, args.p)
     return Result(
         lambda: report,
         lambda: f"quotient_rank {report['quotient_rank']}, phi {report['phi_n']}",

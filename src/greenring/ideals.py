@@ -1,5 +1,11 @@
 """Ideals of induced representations and their Z-module ranks.
 
+The rank theorem takes C_n in characteristic p as the pair (n, p):
+``rank_report(n, p)`` and ``ideal_lattice(n, p)`` split n = m p^alpha
+with p not dividing m in one place (``_order_parts``), and the p-part
+C_q, q = p^alpha, is a ``GroupSpec(p, alpha)`` when alpha >= 1.  n = 1
+and every p not dividing n have no p-part.
+
 For the p-part the induced ideal is the span of the V_i with p dividing i;
 for the coprime part C_m the representation ring is modelled as
 Z[Y]/(Y^m - 1) on the character basis Y^0..Y^(m-1), and the ideal is
@@ -39,7 +45,6 @@ from .ubasis import MAX_MATRIX_ORDER, IntMatrix, u_element
 
 __all__ = [
     "LatticeBasis",
-    "CyclicGroupSpec",
     "induced_ideal_q",
     "semisimple_ideal",
     "smith_normal_form",
@@ -78,31 +83,20 @@ class LatticeBasis:
                 last = j
 
 
-@dataclasses.dataclass(frozen=True)
-class CyclicGroupSpec:
-    """Order n factored as m * p^alpha with p not dividing m.
-
-    alpha = 0 (so q = 1) is allowed and selects the semisimple-only path.
-    """
-
-    n: int
-    p: int
-    m: int = dataclasses.field(init=False)
-    alpha: int = dataclasses.field(init=False)
-    q: int = dataclasses.field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("group order must be at least 1")
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic must be prime, got {self.p}")
-        m, alpha = self.n, 0
-        while m % self.p == 0:
-            m //= self.p
-            alpha += 1
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "q", self.p**alpha)
+def _order_parts(n: int, p: int) -> tuple[int, int]:
+    """(m, alpha) with n = m p^alpha and p not dividing m, for C_n in
+    characteristic p.  alpha = 0 (p coprime to n, or n = 1) selects the
+    semisimple-only path; the p-part is a ``GroupSpec(p, alpha)`` only when
+    alpha >= 1.  An order below 1, then a p that is not prime, raises
+    ``ValueError``."""
+    if n < 1:
+        raise ValueError("group order must be at least 1")
+    if not is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p}")
+    m, alpha = n, 0
+    while m % p == 0:
+        m, alpha = m // p, alpha + 1
+    return m, alpha
 
 
 def induced_ideal_q(group: GroupSpec) -> LatticeBasis:
@@ -127,20 +121,22 @@ def semisimple_ideal(m: int) -> LatticeBasis:
     return LatticeBasis(m, tuple(gens))
 
 
-def ideal_lattice(spec: CyclicGroupSpec) -> LatticeBasis:
-    """Combined induced ideal for C_n = C_m x C_q on the product basis;
-    coordinate i*q + j holds Y^i tensor V_{j+1}.  The n-wide cross-check
-    of ``rank_report``'s factor-by-factor route; only tests build it."""
-    m, q, p = spec.m, spec.q, spec.p
+def ideal_lattice(n: int, p: int) -> LatticeBasis:
+    """Combined induced ideal for C_n = C_m x C_q, q = n/m the p-part, in
+    characteristic p on the product basis; coordinate i*q + j holds
+    Y^i tensor V_{j+1}.  The n-wide cross-check of ``rank_report``'s
+    factor-by-factor route; only tests build it."""
+    m, alpha = _order_parts(n, p)
+    q = n // m
     gens = [
         tuple((i * q + j, v) for i, v in sv)
         for sv in semisimple_ideal(m).generators
         for j in range(q)
     ]
-    if spec.alpha >= 1:
-        p_part = induced_ideal_q(GroupSpec(p, spec.alpha)).generators
+    if alpha >= 1:
+        p_part = induced_ideal_q(GroupSpec(p, alpha)).generators
         gens += (tuple((i * q + j, v) for j, v in g) for g in p_part for i in range(m))
-    return LatticeBasis(spec.n, tuple(gens))
+    return LatticeBasis(n, tuple(gens))
 
 
 def _subtract(rows, cols, rid, c, vec) -> None:
@@ -272,8 +268,9 @@ def _free_quotient_rank(basis: LatticeBasis) -> int:
     return order - len(basis.generators)
 
 
-def rank_report(spec: CyclicGroupSpec) -> dict:
-    """JSON-ready summary of the rank computation for one (n, p).
+def rank_report(n: int, p: int) -> dict:
+    """JSON-ready summary of the rank computation for C_n in
+    characteristic p.
 
     Z[C_n] is the tensor product of the rings of its prime-power factors
     (Chinese remainder theorem), and the induced ideal is the sum of each
@@ -286,36 +283,37 @@ def rank_report(spec: CyclicGroupSpec) -> dict:
     ``MAX_FACTOR_ORDER``, or an ideal rank n - phi(n) above
     ``MAX_REPORT_RANK``, raises ``ValueError`` before any lattice is built.
     """
-    primes = prime_factors(spec.m, MAX_FACTOR_ORDER)
+    m, alpha = _order_parts(n, p)
+    q = n // m
+    primes = prime_factors(m, MAX_FACTOR_ORDER)
     orders = [ell**k for ell, k in primes.items()]
     for order in orders:
         if order > MAX_FACTOR_ORDER:
             raise ValueError(f"a factor of order {order} exceeds {MAX_FACTOR_ORDER}")
-    if spec.q // spec.p > MAX_FACTOR_ORDER:
+    if q // p > MAX_FACTOR_ORDER:
         raise ValueError(
-            f"the factor of order {spec.q} has {spec.q // spec.p} rows, "
-            f"more than {MAX_FACTOR_ORDER}"
+            f"the factor of order {q} has {q // p} rows, more than {MAX_FACTOR_ORDER}"
         )
     # phi is multiplicative, and the factorization above is complete; a
-    # second one of n would trial-divide up to sqrt(p) when p is huge
+    # second one of n would trial-divide up to sqrt(p) when p is huge.
+    # phi(q) = q - q/p is 1 at q = 1.
     phi_n = math.prod(order - order // ell for ell, order in zip(primes, orders))
-    if spec.alpha >= 1:
-        phi_n *= spec.q - spec.q // spec.p
-    if spec.n - phi_n > MAX_REPORT_RANK:
+    phi_n *= q - q // p
+    if n - phi_n > MAX_REPORT_RANK:
         raise ValueError(
-            f"the report would list {spec.n - phi_n} invariant factors, "
+            f"the report would list {n - phi_n} invariant factors, "
             f"more than {MAX_REPORT_RANK}"
         )
     factors = [semisimple_ideal(order) for order in orders]
-    if spec.alpha >= 1:
-        factors.append(induced_ideal_q(GroupSpec(spec.p, spec.alpha)))
+    if alpha >= 1:
+        factors.append(induced_ideal_q(GroupSpec(p, alpha)))
     quotient_rank = 1
     for basis in factors:
         quotient_rank *= _free_quotient_rank(basis)
-    ideal_rank = spec.n - quotient_rank
+    ideal_rank = n - quotient_rank
     return {
-        "n": spec.n,
-        "p": spec.p,
+        "n": n,
+        "p": p,
         "ideal_rank": ideal_rank,
         "quotient_rank": quotient_rank,
         "phi_n": phi_n,

@@ -10,7 +10,6 @@ import numpy as np
 from greenring.core_ring import GroupSpec, tensor
 from greenring.digits import is_prime, split_indices, trick_certificate
 from greenring.ideals import (
-    CyclicGroupSpec,
     ideal_lattice,
     invariant_factors,
     principal_generation_check,
@@ -157,15 +156,14 @@ def test_criterion_07_rank_theorems():
         ]
         characteristics.append(_smallest_coprime_prime(n))
         for p in characteristics:
-            spec = CyclicGroupSpec(n, p)
-            report = rank_report(spec)
+            report = rank_report(n, p)
             if report["quotient_rank"] != report["phi_n"]:
                 failures.append((n, p, "rank"))
             if any(f != 1 for f in report["invariant_factors"]):
                 failures.append((n, p, "torsion"))
             # Cross-check: one Smith form of the whole n-wide induced ideal.
-            factors = invariant_factors(ideal_lattice(spec))
-            if spec.n - len(factors) != report["quotient_rank"]:
+            factors = invariant_factors(ideal_lattice(n, p))
+            if n - len(factors) != report["quotient_rank"]:
                 failures.append((n, p, "n-wide rank"))
             if any(f != 1 for f in factors):
                 failures.append((n, p, "n-wide torsion"))

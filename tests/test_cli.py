@@ -313,7 +313,7 @@ class TestRankVerifyRelations:
         assert done.stderr.startswith("error: the report would list")
 
     def test_memory_error_is_exit_2(self, run, monkeypatch):
-        def exhausted(spec):
+        def exhausted(n, p):
             raise MemoryError
 
         monkeypatch.setattr(ideals, "rank_report", exhausted)

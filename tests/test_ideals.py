@@ -13,8 +13,8 @@ from greenring import ideals
 from greenring.core_ring import GroupSpec, RingElement, basis_element, mul
 from greenring.digits import is_prime
 from greenring.ideals import (
-    CyclicGroupSpec,
     _invariant_factors,
+    _order_parts,
     LatticeBasis,
     ideal_lattice,
     induced_ideal_q,
@@ -213,28 +213,27 @@ class TestNonInducedRank:
         [(9, 3, 6), (12, 2, 4), (12, 3, 4), (7, 3, 6), (30, 5, 8), (1, 2, 1)],
     )
     def test_values(self, n, p, expected):
-        assert rank_report(CyclicGroupSpec(n, p))["quotient_rank"] == expected
+        assert rank_report(n, p)["quotient_rank"] == expected
 
     def test_p_part_cap_counts_rows(self):
         # the p-part holds q/p rows: q = p = 1048583 is one row, while
         # q = 2^22 at p = 2 is 2^21 rows, above MAX_FACTOR_ORDER
-        assert rank_report(CyclicGroupSpec(1048583, 1048583))["quotient_rank"] == 1048582
+        assert rank_report(1048583, 1048583)["quotient_rank"] == 1048582
         with pytest.raises(ValueError, match="2097152 rows"):
-            rank_report(CyclicGroupSpec(2**22, 2))
+            rank_report(2**22, 2)
 
     def test_report_rank_cap(self):
         # n = 2p with p = 10^8 + 7: two one-row factors, but the report
         # would list n - phi(n) = p + 1 invariant factors
         with pytest.raises(ValueError, match="100000008 invariant factors"):
-            rank_report(CyclicGroupSpec(2 * 100000007, 100000007))
+            rank_report(2 * 100000007, 100000007)
 
     def test_coprime_characteristic_uses_semisimple_path(self):
-        spec = CyclicGroupSpec(9, 2)
-        assert spec.alpha == 0 and spec.m == 9
-        assert rank_report(spec)["quotient_rank"] == totient(9)
+        assert _order_parts(9, 2) == (9, 0)
+        assert rank_report(9, 2)["quotient_rank"] == totient(9)
 
     def test_report_fields(self):
-        report = rank_report(CyclicGroupSpec(12, 2))
+        report = rank_report(12, 2)
         assert report == {
             "n": 12,
             "p": 2,
@@ -248,10 +247,9 @@ class TestNonInducedRank:
     def test_totient_for_every_valid_characteristic(self, n):
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
         for p in primes or [2]:
-            spec = CyclicGroupSpec(n, p)
-            assert rank_report(spec)["quotient_rank"] == totient(n), (n, p)
-            assert rank_report(spec)["phi_n"] == totient(n), (n, p)
-            assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
+            assert rank_report(n, p)["quotient_rank"] == totient(n), (n, p)
+            assert rank_report(n, p)["phi_n"] == totient(n), (n, p)
+            assert all(f == 1 for f in invariant_factors(ideal_lattice(n, p)))
 
     def test_torsion_in_a_factor_is_a_verification_failure(self):
         # The product assembly needs free factors, certified from the rows:
@@ -264,7 +262,7 @@ class TestNonInducedRank:
             "    basis = ideals.LatticeBasis(3, rows)\n"
             "    ideals.semisimple_ideal = lambda m, basis=basis: basis\n"
             "    try:\n"
-            "        ideals.rank_report(ideals.CyclicGroupSpec(12, 2))\n"
+            "        ideals.rank_report(12, 2)\n"
             "    except ideals.VerificationError as exc:\n"
             "        print(exc)\n"
         )
@@ -290,9 +288,8 @@ class TestNonInducedRank:
         # Cross-check: the factor-by-factor report against one Smith form
         # of the whole n-wide induced ideal, past acceptance 07's n <= 360.
         n, p = case
-        spec = CyclicGroupSpec(n, p)
-        report = rank_report(spec)
-        factors = invariant_factors(ideal_lattice(spec))
+        report = rank_report(n, p)
+        factors = invariant_factors(ideal_lattice(n, p))
         assert n - len(factors) == report["quotient_rank"] == totient(n)
         assert report["ideal_rank"] == len(factors)
         assert all(f == 1 for f in factors)
@@ -308,9 +305,8 @@ class TestSparsePass:
         monkeypatch.setattr(ideals, "_reduce", refuse)
         for n in range(1, 201):
             for p in _characteristics(n):
-                spec = CyclicGroupSpec(n, p)
-                assert rank_report(spec)["quotient_rank"] == totient(n), (n, p)
-                assert all(f == 1 for f in invariant_factors(ideal_lattice(spec)))
+                assert rank_report(n, p)["quotient_rank"] == totient(n), (n, p)
+                assert all(f == 1 for f in invariant_factors(ideal_lattice(n, p)))
         for p, alpha in [(2, 8), (3, 5), (5, 3), (7, 3)]:
             assert principal_generation_check(GroupSpec(p, alpha)), (p, alpha)
 
@@ -324,8 +320,7 @@ class TestFreenessCertificate:
         monkeypatch.setattr(ideals, "_invariant_factors", refuse)
         for n in range(1, 201):
             for p in _characteristics(n):
-                spec = CyclicGroupSpec(n, p)
-                assert rank_report(spec)["quotient_rank"] == totient(n), (n, p)
+                assert rank_report(n, p)["quotient_rank"] == totient(n), (n, p)
 
     def test_cross_check_certificate_against_smith_form(self):
         # Cross-check: on every factor lattice rank_report builds up to
