@@ -1,7 +1,7 @@
 import pytest
 
 from greenring import quantum
-from greenring.core_ring import GroupSpec, basis_element, chi, zero
+from greenring.core_ring import GroupSpec, basis_element, chi, mul, one, zero
 from greenring.quantum import eval_at_element, relations
 
 from crosschecks import evaluate, quantum_closed_form, quantum_number
@@ -92,7 +92,7 @@ class TestRelations:
     def test_relation_F0_vanishes(self, p, alpha):
         assert relations(GroupSpec(p, alpha))[0].is_zero()
 
-    @pytest.mark.parametrize("p,alpha", [(2, 4), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("p,alpha", [(2, 4), (3, 3), (5, 2), (2, 9), (3, 6), (7, 3)])
     def test_descent_equals_v_difference(self, p, alpha):
         # the recursive middle element of F_j is V_{p^j} - V_{p^j - 1}
         group = GroupSpec(p, alpha)
@@ -102,6 +102,8 @@ class TestRelations:
             if pj > 1:
                 expected = expected - basis_element(group, pj - 1)
             assert descent == expected
+            # cross-check of mul: D_j squares to the unit
+            assert mul(descent, descent) == one(group), (p, alpha, j)
 
     def test_one_pass_over_the_levels(self, monkeypatch):
         # D_j is carried forward, and [p], [p - 1] at chi_j are U-elements:
