@@ -12,10 +12,17 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, out of memory,
 recursion too deep (a guard: the engine walks digit chains in a loop) or an
 I/O error such as an unwritable --out path.
 
-The argument parser is built once per process, at the first ``main`` call,
-and reused by every later call; parsing leaves it unchanged.  Each
-subcommand's ``cmd_*`` handler is bound into it at that first use, so
-replacing a ``cmd_*`` function afterwards does not reach the parser.
+The argument parsers are built once per process, at the first ``main``
+call, and shared by every later call; parsing leaves them unchanged.  An
+argv whose first word names a subcommand is parsed by that subcommand's
+parser alone, and ``command`` is set to the word; every other argv (none,
+``--help``, an unknown command, an option before the command) goes to the
+top-level parser, as does one the subcommand leaves words over from, so
+that parser reports them.  Each subparser carries its ``greenring <cmd>``
+prog and its ``cmd_*`` default, so both routes print the same usage, help
+and errors and give the same namespace.  Each subcommand's ``cmd_*``
+handler is bound into its parser at that first use, so replacing a
+``cmd_*`` function afterwards does not reach the parser.
 """
 
 from __future__ import annotations
@@ -117,8 +124,15 @@ def _run(args) -> int:
     return code
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, shared by every call in the process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="greenring",
         description="Exact computations in the representation ring of "
@@ -173,12 +187,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("relations", help="check that the presentation relations vanish")
     common(sp, cmd_relations, group=True)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            args = parser.parse_args(argv)  # exits: "unrecognized arguments"
     try:
         return _run(args)
     except digits.VerificationError as exc:

@@ -167,14 +167,20 @@ def trick_set(n: int, base: int) -> frozenset[int]:
 class TrickCertificate:
     """Checked witness of the digit identity for one (n, base) pair.
 
-    ``terms`` holds one (j, digits of j-1, product of digits+1) triple per
-    index, ascending in j; the products sum to n by construction.
+    ``products`` holds, for each index j of ``j_set`` (ascending), the
+    product of (digit + 1) over the digits of j - 1; ``trick_certificate``
+    checks at construction that they sum to n.  ``terms`` is derived from
+    them on each read: one (j, digits of j - 1, product) triple per index.
     """
 
     n: int
     base: int
     j_set: tuple[int, ...]
-    terms: tuple[tuple[int, tuple[int, ...], int], ...]
+    products: tuple[int, ...]
+
+    @property
+    def terms(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        return tuple(zip(self.j_set, _expansions(self.j_set, self.base), self.products))
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,7 +190,7 @@ class TrickCertificate:
                 {"j": j, "digits": list(digits), "product": product}
                 for j, digits, product in self.terms
             ],
-            "sum": sum(product for _, _, product in self.terms),
+            "sum": sum(self.products),
         }
 
     def to_text(self) -> str:
@@ -193,22 +199,23 @@ class TrickCertificate:
         j - 1, most significant first, or its product when j - 1 has fewer
         than two digits.
 
-        For a base up to _CHUNK_LIMIT, j - 1 is re-expanded by divmods by
-        the chunk and each chunk's labels are read from ``_chunk_tables``;
-        a larger base has few digits per number and formats each one."""
-        if self.base > _CHUNK_LIMIT:
-            parts = [
-                "".join(f"({d + 1})" for d in reversed(ds)) if len(ds) > 1 else str(product)
-                for _, ds, product in reversed(self.terms)
-            ]
+        For a base up to _CHUNK_LIMIT, j - 1 is expanded by divmods by the
+        chunk and each chunk's labels are read from ``_chunk_tables``; a
+        larger base has few digits per number and formats each one."""
+        base, parts = self.base, []
+        pairs = zip(reversed(self.j_set), reversed(self.products))
+        if base > _CHUNK_LIMIT:
+            for j, product in pairs:
+                ds = to_digits(j - 1, base)
+                text = "".join(f"({d + 1})" for d in reversed(ds))
+                parts.append(text if len(ds) > 1 else str(product))
         else:
-            chunk, _, _, padded, leading = _chunk_tables(self.base)
-            parts = []
-            for j, ds, product in reversed(self.terms):
-                if len(ds) < 2:
+            chunk, _, _, padded, leading = _chunk_tables(base)
+            for j, product in pairs:
+                x, text = j - 1, ""
+                if x < base:
                     parts.append(str(product))
                     continue
-                x, text = j - 1, ""
                 while x >= chunk:
                     x, low = divmod(x, chunk)
                     text = padded[low] + text
@@ -231,8 +238,7 @@ def _chunk_tables(base: int) -> tuple[int, tuple, tuple, tuple, tuple]:
     zero-filled, their product of (digit + 1)), and leading[x] the same
     without the zero fill; the labels of each are its digits as "(d+1)"
     text, most significant digit first, in tuples of their own so that
-    neither ``_digit_terms`` nor ``TrickCertificate.to_text`` unpacks
-    more per term than it reads."""
+    ``TrickCertificate.to_text`` unpacks no more per term than it reads."""
     padded = [((), 1)]
     while len(padded) * base <= _CHUNK_LIMIT:
         # x = low + len(padded) d: the new digit d goes on top
@@ -244,37 +250,49 @@ def _chunk_tables(base: int) -> tuple[int, tuple, tuple, tuple, tuple]:
     return len(padded), tuple(padded), tuple(leading), *text
 
 
-def _digit_terms(indices, base: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """(j, digits of j - 1, product of (digit + 1)) for each index j."""
+def _expansions(indices, base: int) -> list[tuple[int, ...]]:
+    """The digits of j - 1, little-endian, for each index j."""
     if base > _CHUNK_LIMIT:
-        expansions = [to_digits(j - 1, base) for j in indices]
-        return [(j, ds, math.prod(d + 1 for d in ds)) for j, ds in zip(indices, expansions)]
+        return [to_digits(j - 1, base) for j in indices]
     chunk, padded, leading, _, _ = _chunk_tables(base)
-    terms = []
+    expansions = []
     for j in indices:
-        x, digits, product = j - 1, (), 1
+        x, digits = j - 1, ()
         while x >= chunk:
             x, low = divmod(x, chunk)
-            ds, p = padded[low]
-            digits += ds
-            product *= p
-        ds, p = leading[x]
-        terms.append((j, digits + ds, product * p))
-    return terms
+            digits += padded[low][0]
+        expansions.append(digits + leading[x][0])
+    return expansions
+
+
+def _products(indices, base: int) -> list[int]:
+    """The product of (digit + 1) over the digits of j - 1, for each index j."""
+    if base > _CHUNK_LIMIT:
+        return [math.prod(d + 1 for d in to_digits(j - 1, base)) for j in indices]
+    chunk, padded, leading, _, _ = _chunk_tables(base)
+    products = []
+    for j in indices:
+        x, product = j - 1, 1
+        while x >= chunk:
+            x, low = divmod(x, chunk)
+            product *= padded[low][1]
+        products.append(product * leading[x][1])
+    return products
 
 
 def trick_certificate(n: int, base: int) -> TrickCertificate:
     """Build and verify the certificate; a sum mismatch raises rather than
     returning a bad witness (it would mean the recursion is misread).
 
-    Each index's digits of j - 1 and their product of successors are read
-    from per-base tables of digit chunks (``_digit_terms``); the base was
-    checked once by ``trick_set``."""
+    Each index's product of successors of the digits of j - 1 is read from
+    per-base tables of digit chunks (``_products``); the digits themselves
+    are left to ``TrickCertificate.terms``.  The base was checked once by
+    ``trick_set``."""
     indices = sorted(trick_set(n, base))
-    terms = _digit_terms(indices, base)
-    total = sum(product for _, _, product in terms)
+    products = _products(indices, base)
+    total = sum(products)
     if total != n:
         raise VerificationError(
             f"digit identity failed for n={n} base={base}: got {total}"
         )
-    return TrickCertificate(n, base, tuple(indices), tuple(terms))
+    return TrickCertificate(n, base, tuple(indices), tuple(products))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import greenring
-from greenring import cli, core_ring, ideals, quantum
+from greenring import cli, core_ring, digits, ideals, quantum
 from greenring.cli import main
 
 
@@ -404,20 +404,19 @@ class TestVerificationFailure:
     )
 
     @staticmethod
-    def _run_optimized(level):
-        """stdout of V_2 (x) V_3 at p = 5 with the level patched to return
-        level, in a child interpreter under python -O."""
+    def _run_optimized(script):
+        """stdout of script in a child interpreter under python -O."""
         src = str(Path(greenring.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-O", "-c", TestVerificationFailure._SCRIPT.format(level=level)],
+            [sys.executable, "-O", "-c", script],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         return done.stdout
 
     def test_raises_under_optimize(self):
-        out = self._run_optimized("([s], [r - 1])")
+        out = self._run_optimized(self._SCRIPT.format(level="([s], [r - 1])"))
         assert out.startswith("dimension lost at (5, 2, 3)"), out
 
     def test_index_fault_is_exit_1_also_under_optimize(self, run, monkeypatch):
@@ -428,8 +427,43 @@ class TestVerificationFailure:
         assert (code, out) == (1, "")
         assert err.startswith("error: index 6 exceeds 5 at (5, 2, 3)")
         assert "Traceback" not in err
-        out = self._run_optimized("([6], [1])")
+        out = self._run_optimized(self._SCRIPT.format(level="([6], [1])"))
         assert out.startswith("index 6 exceeds 5 at (5, 2, 3)"), out
+
+    # the chunk tables with the product of the digits of 61 in base 5,
+    # (1, 2, 2), read as 19 rather than 18: j = 62 is one of the four
+    # indices of 62, so the products sum to 63
+    _SKEWED_TABLES = (
+        "from greenring import digits\n"
+        "tables = digits._chunk_tables\n"
+        "def skewed(base):\n"
+        "    chunk, padded, leading, *labels = tables(base)\n"
+        "    ds, p = leading[61]\n"
+        "    return (chunk, padded, (*leading[:61], (ds, p + 1), *leading[62:]), *labels)\n"
+    )
+
+    def test_digit_sum_fault_is_exit_1_also_under_optimize(self, run, monkeypatch):
+        namespace = {}
+        exec(self._SKEWED_TABLES, namespace)
+        monkeypatch.setattr(digits, "_chunk_tables", namespace["skewed"])
+        message = "digit identity failed for n=62 base=5: got 63"
+        with pytest.raises(digits.VerificationError, match=message):
+            digits.trick_certificate(62, 5)
+        code, out, err = run("trick", "62", "--base", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        script = self._SKEWED_TABLES + (
+            "digits._chunk_tables = skewed\n"
+            "import sys\n"
+            "from greenring import cli\n"
+            "try:\n"
+            "    digits.trick_certificate(62, 5)\n"
+            "except digits.VerificationError as exc:\n"
+            "    print(exc)\n"
+            "sys.stderr = sys.stdout\n"
+            "print(cli.main(['trick', '62', '--base', '5']))\n"
+        )
+        assert self._run_optimized(script) == f"{message}\nerror: {message}\n1\n"
 
 
 # Index sets of these inputs would outgrow memory: |J| of the alternating
@@ -542,6 +576,41 @@ class TestParserReuse:
             sys.setswitchinterval(interval)
         assert got == [want] * 16
         assert cli._build_parser() is parser
+
+    def test_routes_agree(self, capsysbinary, monkeypatch):
+        # main parses an argv that starts with a subcommand with that
+        # subcommand's parser alone, and every other argv with the top-level
+        # parser: both routes give the namespace, or the exit, that one
+        # top-level parse gives, also for main(None), which reads sys.argv
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_run", vars)
+        parser = cli._build_parser()
+
+        def outcome(parse, argv):
+            try:
+                return parse(list(argv))
+            except SystemExit as exc:
+                return (exc.code, *capsysbinary.readouterr())
+
+        def from_sys_argv(argv):
+            monkeypatch.setattr(sys, "argv", ["greenring", *argv])
+            return main(None)
+
+        argvs = [
+            form
+            for argv in self.COMMANDS
+            for form in (argv, (*argv, "--format", "json"), (*argv, "--out", "x"))
+        ] + [
+            (), ("--help",), ("-h",), ("bogus",), ("--format", "json", "trick", "62"),
+            ("trick",), ("trick", "x"), ("trick", "--help"), ("tensor", "--p", "5", "2"),
+            ("trick", "62", "--bogus"), ("trick", "62", "extra"),
+        ]
+        for argv in argvs:
+            want = outcome(lambda a: vars(parser.parse_args(a)), argv)
+            assert outcome(main, argv) == want, argv
+            assert outcome(from_sys_argv, argv) == want, argv
+        codes = [outcome(main, argv)[0] for argv in argvs[-11:]]
+        assert codes == [2, 0, 0, 2, 2, 2, 2, 0, 2, 2, 2]
 
     def test_help_matches_a_fresh_process(self, run_in_process):
         commands = [("--help",)] + [
