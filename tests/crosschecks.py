@@ -165,10 +165,17 @@ def trick_text_per_digit(cert: TrickCertificate) -> str:
     "(d+1)" of every digit of j - 1, most significant first, or its product
     when j - 1 has fewer than two digits."""
     parts = [
-        "".join(f"({d + 1})" for d in reversed(digs)) if len(digs) > 1 else str(product)
+        _per_digit_label(digs) if len(digs) > 1 else str(product)
         for _, digs, product in reversed(cert.terms)
     ]
     return f"{cert.n} = " + " + ".join(parts)
+
+
+# An index j recurs in the sets of many n, so a sweep over n formats each
+# digit tuple once.
+@functools.lru_cache(maxsize=1 << 14)
+def _per_digit_label(digs: tuple[int, ...]) -> str:
+    return "".join(f"({d + 1})" for d in reversed(digs))
 
 
 @functools.lru_cache(maxsize=128)
