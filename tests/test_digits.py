@@ -115,6 +115,20 @@ class TestTrickSet:
             assert trick_set(n, p) == frozenset(v_in_u(group, n)), (p, n)
 
 
+def _small_n_cases():
+    """Every n <= 2,000 at bases 2..11 (the chunk tables) and a few n at
+    bases 257 and 1000, above ``_CHUNK_LIMIT``."""
+    large = (1, 2, 256, 257, 258, 1000, 1001, 66050, 10**6 - 1)
+    assert all(base > digits._CHUNK_LIMIT for base in (257, 1000))
+    assert 11 <= digits._CHUNK_LIMIT
+    for base in range(2, 12):
+        for n in range(1, 2001):
+            yield n, base
+    for base in (257, 1000):
+        for n in large:
+            yield n, base
+
+
 class TestTrickCertificate:
     def test_worked_example(self):
         cert = trick_certificate(62, 5)
@@ -136,24 +150,16 @@ class TestTrickCertificate:
             for j, ds, product in trick_certificate(n, 5).terms:
                 assert ds == to_digits(j - 1, 5)
                 assert product == math.prod(d + 1 for d in ds)
-        # the derived terms and the text, against per-digit expansions, for
-        # every n <= 2,000 at bases 2..11 (the chunk tables) and a few n at
-        # bases 257 and 1000, above _CHUNK_LIMIT
+        # the derived terms against per-digit expansions, over _small_n_cases()
         @functools.cache
         def expansion(x, base):
             ds = to_digits(x, base)
             return ds, math.prod(d + 1 for d in ds)
 
-        cases = [(range(1, 2001), base) for base in range(2, 12)]
-        large = (1, 2, 256, 257, 258, 1000, 1001, 66050, 10**6 - 1)
-        cases += [(large, base) for base in (257, 1000)]
-        for ns, base in cases:
-            assert (base > digits._CHUNK_LIMIT) == (base in (257, 1000))
-            for n in ns:
-                cert = trick_certificate(n, base)
-                want = tuple((j, *expansion(j - 1, base)) for j in cert.j_set)
-                assert cert.terms == want, (n, base)
-                assert cert.to_text() == trick_text_per_digit(cert), (n, base)
+        for n, base in _small_n_cases():
+            cert = trick_certificate(n, base)
+            want = tuple((j, *expansion(j - 1, base)) for j in cert.j_set)
+            assert cert.terms == want, (n, base)
 
     def test_json_shape(self):
         payload = trick_certificate(62, 5).to_json_dict()
@@ -169,6 +175,11 @@ class TestTrickCertificate:
 
 
 class TestTrickText:
+    def test_equals_per_digit_cross_check_small_n(self):
+        for n, base in _small_n_cases():
+            cert = trick_certificate(n, base)
+            assert cert.to_text() == trick_text_per_digit(cert), (n, base)
+
     def test_equals_per_digit_cross_check_seeded_pairs(self):
         # bases up to 400 take both the chunk path and the per-digit path
         rng = random.Random(23)
